@@ -56,7 +56,7 @@ pub fn chaos_config(fidelity: Fidelity) -> (TraceExperimentConfig, f64) {
 }
 
 /// Resilience metrics of one controller's chaos run.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosSummary {
     /// Successful completions over the whole run.
     pub completed: u64,

@@ -99,7 +99,7 @@ pub fn run_fig5_with_training(fidelity: Fidelity) -> Result<Fig5, FitError> {
 }
 
 /// Summary metrics of one run, used in the comparison table.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunSummary {
     /// Successful completions.
     pub completed: u64,

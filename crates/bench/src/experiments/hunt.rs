@@ -47,8 +47,8 @@ use std::fmt::Write as _;
 use dcm_core::agents::Action;
 use dcm_core::controller::{Controller, Dcm, DcmConfig, DcmModels, Ec2AutoScale};
 use dcm_core::experiment::{
-    run_mesh_trace_experiment, run_trace_experiment, steady_state_throughput,
-    MeshExperimentConfig, SteadyStateOptions, TraceExperimentConfig, TraceRunResult,
+    run_mesh_trace_experiment, run_trace_experiment, steady_state_throughput, MeshExperimentConfig,
+    SteadyStateOptions, TraceExperimentConfig, TraceRunResult,
 };
 use dcm_core::monitor::MetricsBus;
 use dcm_core::mpc::{ModelPredictive, MpcConfig};
@@ -61,16 +61,16 @@ use dcm_ntier::law::{reference, ServiceLaw};
 use dcm_ntier::server::VmType;
 use dcm_ntier::system::{InterTierRetry, VmPolicy};
 use dcm_ntier::topology::{MeshNode, SoftConfig, ThreeTierBuilder};
-use dcm_workload::cache::CacheDynamics;
-use dcm_workload::profile::{CacheEdge, NodeDemand};
 use dcm_obs::FailureLog;
 use dcm_oracle::{run_scenario, Scenario, ScenarioKind};
 use dcm_sim::dist::Dist;
 use dcm_sim::faults::FaultPlan;
 use dcm_sim::rng::{derive_seed, SimRng};
 use dcm_sim::time::{SimDuration, SimTime};
+use dcm_workload::cache::CacheDynamics;
 use dcm_workload::generator::{RetryPolicy, UserPopulation};
 use dcm_workload::profile::ProfileFactory;
+use dcm_workload::profile::{CacheEdge, NodeDemand};
 use dcm_workload::{traces, CohortPopulation};
 
 use crate::format::TextTable;

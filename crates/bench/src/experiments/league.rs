@@ -34,7 +34,7 @@ use dcm_sim::time::{SimDuration, SimTime};
 use dcm_workload::generator::RetryPolicy;
 use dcm_workload::traces;
 
-use crate::format::{num, TextTable};
+use crate::format::{csv_rows, json_rows, num, Field, TextTable, Value};
 
 use super::Fidelity;
 
@@ -146,7 +146,7 @@ pub fn league_trace_config(kind: TraceKind, fidelity: Fidelity) -> TraceExperime
 }
 
 /// One (controller, trace) cell of the league matrix.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LeagueCell {
     /// Controller display name.
     pub controller: &'static str,
@@ -168,6 +168,27 @@ pub struct LeagueCell {
     pub retry_amplification: f64,
     /// Scaling actions the controller actually applied.
     pub actions: usize,
+}
+
+impl LeagueCell {
+    /// The cell's row in `league.json` and `league.csv`.
+    fn fields(&self) -> [Field; 10] {
+        [
+            ("controller", Value::Text(self.controller)),
+            ("trace", Value::Text(self.trace)),
+            ("completed", Value::int(self.completed)),
+            ("goodput", Value::fixed(self.goodput)),
+            ("slo_attainment_1s", Value::fixed(self.slo_attainment_1s)),
+            ("slo_violation_secs", Value::fixed(self.slo_violation_secs)),
+            ("vm_hours", Value::fixed(self.vm_hours)),
+            ("planner_evals", Value::int(self.planner_evals)),
+            (
+                "retry_amplification",
+                Value::fixed(self.retry_amplification),
+            ),
+            ("actions", Value::int(self.actions)),
+        ]
+    }
 }
 
 /// Reduces one run to its league metrics.
@@ -195,7 +216,7 @@ pub fn summarize_cell(
 }
 
 /// One controller's aggregate across the whole trace library, ranked.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LeagueStanding {
     /// 1-based rank (1 = winner).
     pub rank: usize,
@@ -209,6 +230,23 @@ pub struct LeagueStanding {
     pub planner_evals: u64,
     /// Mean retry amplification across traces.
     pub retry_amplification: f64,
+}
+
+impl LeagueStanding {
+    /// The standing's row in `league.json`.
+    fn fields(&self) -> [Field; 6] {
+        [
+            ("rank", Value::int(self.rank)),
+            ("controller", Value::Text(self.controller)),
+            ("slo_violation_secs", Value::fixed(self.slo_violation_secs)),
+            ("vm_hours", Value::fixed(self.vm_hours)),
+            ("planner_evals", Value::int(self.planner_evals)),
+            (
+                "retry_amplification",
+                Value::fixed(self.retry_amplification),
+            ),
+        ]
+    }
 }
 
 /// The full league result: the raw matrix, the ranking, and the MPC
@@ -405,75 +443,22 @@ impl League {
     /// Stable JSON for `results/league.json` (hand-rolled; keys and shapes
     /// are fixed for downstream tooling and the determinism check).
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\n  \"horizon_secs\": {:.6},\n  \"standings\": [\n",
-            self.horizon_secs
-        );
-        for (i, s) in self.standings.iter().enumerate() {
-            let sep = if i + 1 < self.standings.len() {
-                ","
-            } else {
-                ""
-            };
-            out.push_str(&format!(
-                "    {{\"rank\": {}, \"controller\": \"{}\", \
-                 \"slo_violation_secs\": {:.6}, \"vm_hours\": {:.6}, \
-                 \"planner_evals\": {}, \"retry_amplification\": {:.6}}}{sep}\n",
-                s.rank,
-                s.controller,
-                s.slo_violation_secs,
-                s.vm_hours,
-                s.planner_evals,
-                s.retry_amplification,
-            ));
-        }
-        out.push_str("  ],\n  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            let sep = if i + 1 < self.cells.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"controller\": \"{}\", \"trace\": \"{}\", \
-                 \"completed\": {}, \"goodput\": {:.6}, \
-                 \"slo_attainment_1s\": {:.6}, \"slo_violation_secs\": {:.6}, \
-                 \"vm_hours\": {:.6}, \"planner_evals\": {}, \
-                 \"retry_amplification\": {:.6}, \"actions\": {}}}{sep}\n",
-                c.controller,
-                c.trace,
-                c.completed,
-                c.goodput,
-                c.slo_attainment_1s,
-                c.slo_violation_secs,
-                c.vm_hours,
-                c.planner_evals,
-                c.retry_amplification,
-                c.actions,
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let standings: Vec<_> = self.standings.iter().map(LeagueStanding::fields).collect();
+        let cells: Vec<_> = self.cells.iter().map(LeagueCell::fields).collect();
+        format!(
+            "{{\n  \"horizon_secs\": {:.6},\n  \"standings\": [\n{}  ],\n  \
+             \"cells\": [\n{}  ]\n}}\n",
+            self.horizon_secs,
+            json_rows(&standings),
+            json_rows(&cells),
+        )
     }
 
-    /// CSV of the raw matrix for `results/league.csv`.
+    /// CSV of the raw matrix for `results/league.csv`: the same fields as
+    /// the JSON cell rows.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "controller,trace,completed,goodput,slo_attainment_1s,\
-             slo_violation_secs,vm_hours,planner_evals,retry_amplification,actions\n",
-        );
-        for c in &self.cells {
-            out.push_str(&format!(
-                "{},{},{},{:.6},{:.6},{:.6},{:.6},{},{:.6},{}\n",
-                c.controller,
-                c.trace,
-                c.completed,
-                c.goodput,
-                c.slo_attainment_1s,
-                c.slo_violation_secs,
-                c.vm_hours,
-                c.planner_evals,
-                c.retry_amplification,
-                c.actions,
-            ));
-        }
-        out
+        let cells: Vec<_> = self.cells.iter().map(LeagueCell::fields).collect();
+        csv_rows(&cells)
     }
 
     /// Self-checks against the league's qualitative claims.
@@ -663,6 +648,25 @@ mod tests {
             mean < 0.15,
             "late-run prediction error must settle under 15 %: mean {mean:.3} of {tail:?}"
         );
+    }
+
+    #[test]
+    fn json_cell_rows_match_csv_lines() {
+        let run = run_cell(
+            ControllerKind::Dcm,
+            TraceKind::Step,
+            Fidelity::Quick,
+            models(),
+        );
+        let cells = vec![summarize_cell(ControllerKind::Dcm, TraceKind::Step, &run)];
+        let league = League {
+            standings: standings_of(&cells),
+            cells,
+            horizon_secs: 240.0,
+            mpc_journal_json: String::new(),
+            mpc_journal_explain: String::new(),
+        };
+        crate::format::assert_json_cells_match_csv(&league.to_json(), &league.to_csv());
     }
 
     #[test]

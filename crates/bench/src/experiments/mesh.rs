@@ -40,7 +40,7 @@ use dcm_workload::cache::CacheDynamics;
 use dcm_workload::profile::{CacheEdge, NodeDemand};
 use dcm_workload::traces;
 
-use crate::format::{num, TextTable};
+use crate::format::{csv_rows, json_rows, num, Field, TextTable, Value};
 
 use super::Fidelity;
 
@@ -116,9 +116,7 @@ pub fn mesh_experiment_config(trace: MeshTrace, fidelity: Fidelity) -> MeshExper
     };
     let trace = match trace {
         MeshTrace::Step => traces::step(60, 240, 30.0),
-        MeshTrace::Flash => {
-            traces::flash_crowd(60, 280, horizon_secs * 0.35, horizon_secs * 0.25)
-        }
+        MeshTrace::Flash => traces::flash_crowd(60, 280, horizon_secs * 0.35, horizon_secs * 0.25),
     };
     let mut run = TraceExperimentConfig::figure5(trace);
     run.horizon = SimTime::from_secs_f64(horizon_secs);
@@ -132,10 +130,12 @@ pub fn mesh_experiment_config(trace: MeshTrace, fidelity: Fidelity) -> MeshExper
         run,
         nodes: vec![
             MeshNode::new("web", reference::apache(), 1000),
-            MeshNode::new("app", reference::tomcat(), 200).conns(40).vm_policy(VmPolicy {
-                types: vec![VmType::LARGE, VmType::XLARGE],
-                selection: VmSelection::CheapestPerCapacity,
-            }),
+            MeshNode::new("app", reference::tomcat(), 200)
+                .conns(40)
+                .vm_policy(VmPolicy {
+                    types: vec![VmType::LARGE, VmType::XLARGE],
+                    selection: VmSelection::CheapestPerCapacity,
+                }),
             MeshNode::new("db", reference::mysql(), 800)
                 .vm_policy(VmPolicy::cycle(vec![VmType::SMALL, VmType::LARGE])),
             MeshNode::new("svc", reference::tomcat(), 50).count(2),
@@ -156,7 +156,7 @@ pub fn mesh_experiment_config(trace: MeshTrace, fidelity: Fidelity) -> MeshExper
 }
 
 /// One (controller, trace) cell of the mesh matrix.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MeshCell {
     /// Controller display name.
     pub controller: &'static str,
@@ -179,6 +179,24 @@ pub struct MeshCell {
     pub planner_evals: u64,
     /// Scaling actions the controller actually applied.
     pub actions: usize,
+}
+
+impl MeshCell {
+    /// The cell's row in `mesh.json` and `mesh.csv`.
+    fn fields(&self) -> [Field; 10] {
+        [
+            ("controller", Value::Text(self.controller)),
+            ("trace", Value::Text(self.trace)),
+            ("completed", Value::int(self.completed)),
+            ("goodput", Value::fixed(self.goodput)),
+            ("slo_attainment_1s", Value::fixed(self.slo_attainment_1s)),
+            ("slo_violation_secs", Value::fixed(self.slo_violation_secs)),
+            ("vm_hours", Value::fixed(self.vm_hours)),
+            ("vm_dollars", Value::fixed(self.vm_dollars)),
+            ("planner_evals", Value::int(self.planner_evals)),
+            ("actions", Value::int(self.actions)),
+        ]
+    }
 }
 
 /// Reduces one mesh run to its cell metrics.
@@ -214,7 +232,12 @@ pub struct MeshBench {
     pub horizon_secs: f64,
 }
 
-fn run_cell(controller: MeshController, trace: MeshTrace, fidelity: Fidelity, models: DcmModels) -> TraceRunResult {
+fn run_cell(
+    controller: MeshController,
+    trace: MeshTrace,
+    fidelity: Fidelity,
+    models: DcmModels,
+) -> TraceRunResult {
     let config = mesh_experiment_config(trace, fidelity);
     match controller {
         MeshController::Dcm => {
@@ -294,57 +317,22 @@ impl MeshBench {
     /// Stable JSON for `results/mesh.json` (hand-rolled; keys and shapes
     /// are fixed for downstream tooling and the determinism check).
     pub fn to_json(&self) -> String {
-        let mut out = format!(
+        let cells: Vec<_> = self.cells.iter().map(MeshCell::fields).collect();
+        format!(
             "{{\n  \"horizon_secs\": {:.6},\n  \"cache_max_hit\": {:.6},\n  \
-             \"cache_warmup_requests\": {:.6},\n  \"cells\": [\n",
-            self.horizon_secs, CACHE_MAX_HIT, CACHE_WARMUP_REQUESTS
-        );
-        for (i, c) in self.cells.iter().enumerate() {
-            let sep = if i + 1 < self.cells.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"controller\": \"{}\", \"trace\": \"{}\", \
-                 \"completed\": {}, \"goodput\": {:.6}, \
-                 \"slo_attainment_1s\": {:.6}, \"slo_violation_secs\": {:.6}, \
-                 \"vm_hours\": {:.6}, \"vm_dollars\": {:.6}, \
-                 \"planner_evals\": {}, \"actions\": {}}}{sep}\n",
-                c.controller,
-                c.trace,
-                c.completed,
-                c.goodput,
-                c.slo_attainment_1s,
-                c.slo_violation_secs,
-                c.vm_hours,
-                c.vm_dollars,
-                c.planner_evals,
-                c.actions,
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+             \"cache_warmup_requests\": {:.6},\n  \"cells\": [\n{}  ]\n}}\n",
+            self.horizon_secs,
+            CACHE_MAX_HIT,
+            CACHE_WARMUP_REQUESTS,
+            json_rows(&cells),
+        )
     }
 
-    /// CSV of the matrix for `results/mesh.csv`.
+    /// CSV of the matrix for `results/mesh.csv`: the same fields as the
+    /// JSON cell rows.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "controller,trace,completed,goodput,slo_attainment_1s,\
-             slo_violation_secs,vm_hours,vm_dollars,planner_evals,actions\n",
-        );
-        for c in &self.cells {
-            out.push_str(&format!(
-                "{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{},{}\n",
-                c.controller,
-                c.trace,
-                c.completed,
-                c.goodput,
-                c.slo_attainment_1s,
-                c.slo_violation_secs,
-                c.vm_hours,
-                c.vm_dollars,
-                c.planner_evals,
-                c.actions,
-            ));
-        }
-        out
+        let cells: Vec<_> = self.cells.iter().map(MeshCell::fields).collect();
+        csv_rows(&cells)
     }
 
     /// Self-checks against the mesh bench's qualitative claims.
@@ -430,6 +418,25 @@ mod tests {
         assert!(bench.to_json().ends_with("}\n"));
         assert_eq!(bench.to_csv().lines().count(), 1 + bench.cells.len());
         assert!(bench.findings().len() >= 4);
+    }
+
+    #[test]
+    fn json_cell_rows_match_csv_lines() {
+        let run = run_cell(
+            MeshController::Dcm,
+            MeshTrace::Step,
+            Fidelity::Quick,
+            models(),
+        );
+        let bench = MeshBench {
+            cells: vec![summarize_mesh_cell(
+                MeshController::Dcm,
+                MeshTrace::Step,
+                &run,
+            )],
+            horizon_secs: 240.0,
+        };
+        crate::format::assert_json_cells_match_csv(&bench.to_json(), &bench.to_csv());
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub mod validate;
 
 use dcm_sim::time::SimDuration;
 
-/// Experiment size: `Quick` for smoke tests and Criterion, `Full` for the
+/// Experiment size: `Quick` for smoke tests and CI, `Full` for the
 /// numbers reported in EXPERIMENTS.md.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fidelity {

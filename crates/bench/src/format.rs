@@ -115,6 +115,91 @@ pub fn num(value: f64, decimals: usize) -> String {
     }
 }
 
+/// One field of a result row: its column name and its value, formatted
+/// once so the row's JSON object and its CSV line cannot disagree.
+pub type Field = (&'static str, Value);
+
+/// A formatted field value. JSON quotes [`Value::Text`]; CSV writes both
+/// kinds bare.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// A name (controller, trace).
+    Text(&'static str),
+    /// A number, already formatted.
+    Num(String),
+}
+
+impl Value {
+    /// An `f64` with the six decimals the result files carry.
+    pub fn fixed(value: f64) -> Self {
+        Value::Num(format!("{value:.6}"))
+    }
+
+    /// An integer count.
+    pub fn int(value: impl std::fmt::Display) -> Self {
+        Value::Num(value.to_string())
+    }
+}
+
+/// Renders rows as indented one-line JSON objects, comma-separated, one
+/// per line: the body of a JSON array.
+pub fn json_rows<const N: usize>(rows: &[[Field; N]]) -> String {
+    let mut out = String::new();
+    for (i, row) in rows.iter().enumerate() {
+        let fields: Vec<String> = row
+            .iter()
+            .map(|(key, value)| match value {
+                Value::Text(s) => format!("\"{key}\": \"{s}\""),
+                Value::Num(s) => format!("\"{key}\": {s}"),
+            })
+            .collect();
+        let sep = if i + 1 < rows.len() { "," } else { "" };
+        let _ = writeln!(out, "    {{{}}}{sep}", fields.join(", "));
+    }
+    out
+}
+
+/// Renders rows as CSV with the first row's keys as the header (empty
+/// when there are no rows).
+pub fn csv_rows<const N: usize>(rows: &[[Field; N]]) -> String {
+    let Some(first) = rows.first() else {
+        return String::new();
+    };
+    let mut table = TextTable::new(first.iter().map(|(key, _)| *key));
+    for row in rows {
+        table.row(row.iter().map(|(_, value)| match value {
+            Value::Text(s) => (*s).to_string(),
+            Value::Num(s) => s.clone(),
+        }));
+    }
+    table.to_csv()
+}
+
+/// Asserts that each JSON cell row (a [`json_rows`] line with a `trace`
+/// key) carries the same keys and values, in the same order, as the CSV
+/// header and the matching CSV line.
+#[cfg(test)]
+pub(crate) fn assert_json_cells_match_csv(json: &str, csv: &str) {
+    let mut lines = csv.lines();
+    let header: Vec<&str> = lines.next().expect("CSV header").split(',').collect();
+    let rows: Vec<&str> = json.lines().filter(|l| l.contains("\"trace\"")).collect();
+    assert_eq!(rows.len(), lines.clone().count(), "one CSV line per row");
+    for (row, line) in rows.into_iter().zip(lines) {
+        let body = row.trim().trim_end_matches(',');
+        let body = body.strip_prefix('{').and_then(|b| b.strip_suffix('}'));
+        let json_pairs: Vec<(&str, &str)> = body
+            .expect("a one-line JSON object")
+            .split(", ")
+            .map(|kv| kv.split_once(": ").expect("key: value"))
+            .map(|(k, v)| (k.trim_matches('"'), v.trim_matches('"')))
+            .collect();
+        let values: Vec<&str> = line.split(',').collect();
+        assert_eq!(values.len(), header.len());
+        let csv_pairs: Vec<(&str, &str)> = header.iter().copied().zip(values).collect();
+        assert_eq!(json_pairs, csv_pairs, "JSON row and CSV line disagree");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,8 +13,7 @@
 //! | [`experiments::ablation`] | actuation ablation + `N*` sensitivity (ours, beyond the paper) |
 //!
 //! The `repro` binary drives them (`cargo run -p dcm-bench --release --bin
-//! repro -- all`); the Criterion benches exercise quick variants for
-//! regression tracking.
+//! repro -- all`).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -13,8 +13,6 @@
 //!   resumes where it left off ([`GroupConsumer`]).
 //! * **Retention** by entry count or age, with consumers that tolerate
 //!   head-trim gaps.
-//! * A thread-safe facade ([`SharedBroker`]) with blocking poll for live
-//!   (non-simulated) deployments.
 //!
 //! The broker is generic over the payload type, trading Kafka's byte-blob
 //! interface for compile-time type safety — serialization is orthogonal to
@@ -50,10 +48,8 @@ pub mod broker;
 pub mod consumer;
 pub mod error;
 pub mod log;
-pub mod shared;
 
 pub use broker::{Broker, Retention};
 pub use consumer::GroupConsumer;
 pub use error::BusError;
 pub use log::Entry;
-pub use shared::SharedBroker;

@@ -5,10 +5,9 @@ use dcm_ntier::flow;
 use dcm_ntier::ids::ServerId;
 use dcm_ntier::world::{SimEngine, World};
 use dcm_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// One actuation, for the experiment timeline.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Action {
     /// A VM was launched in `tier`.
     ScaleOut {
@@ -38,7 +37,7 @@ pub enum Action {
 }
 
 /// A timestamped actuation record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActionRecord {
     /// When the action was taken.
     pub at: SimTime,

@@ -7,10 +7,8 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// What the policy wants done to a tier this period.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScaleDecision {
     /// Add one server.
     Out,
@@ -21,7 +19,7 @@ pub enum ScaleDecision {
 }
 
 /// Which measurement drives the threshold comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum TriggerSignal {
     /// The simulated CPU-utilization counter (the paper's CloudWatch-style
     /// trigger).
@@ -37,7 +35,7 @@ pub enum TriggerSignal {
 }
 
 /// Shared scaling-policy configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalingConfig {
     /// Scale out when tier utilization exceeds this in one period (0.8).
     pub up_threshold: f64,

@@ -9,10 +9,8 @@
 //! when load ramps steadily (and degrading gracefully to reactive
 //! behaviour when it doesn't — see the `predictive` ablation).
 
-use serde::{Deserialize, Serialize};
-
 /// Holt's linear smoothing configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HoltConfig {
     /// Level smoothing factor `α ∈ (0, 1]`.
     pub level_alpha: f64,
@@ -47,7 +45,7 @@ impl Default for HoltConfig {
 /// // The forecast runs ahead of the last observation.
 /// assert!(trend.forecast() > 0.9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HoltTrend {
     config: HoltConfig,
     level: f64,

@@ -177,8 +177,8 @@ mod tests {
             Some(("bench".into(), Scope::Test))
         );
         assert_eq!(
-            classify("shims/criterion/src/lib.rs"),
-            Some(("criterion".into(), Scope::Relaxed))
+            classify("shims/rand/src/lib.rs"),
+            Some(("rand".into(), Scope::Relaxed))
         );
         assert_eq!(
             classify("tests/full_stack.rs"),

@@ -7,12 +7,10 @@
 //!   budget `N*_db · K_db · headroom` is split evenly across the app
 //!   servers' connection pools.
 
-use serde::{Deserialize, Serialize};
-
 use crate::concurrency::ConcurrencyModel;
 
 /// A computed soft allocation for the app tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SoftAllocation {
     /// Thread-pool size per app server.
     pub app_threads: u32,

@@ -31,10 +31,8 @@
 //! `X(N) ≤ min(N/(Z+ΣD), min_m μ_m^max/V_m)` that any measurement must
 //! respect regardless of distributional assumptions.
 
-use serde::{Deserialize, Serialize};
-
 /// One service station of a closed network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Station {
     /// Infinite-server (pure delay) station: residence per visit is always
     /// `service_time`, no queueing ever.
@@ -181,7 +179,7 @@ impl Station {
 }
 
 /// A closed single-class network: a think-time terminal plus stations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClosedNetwork {
     /// The service stations.
     pub stations: Vec<Station>,
@@ -414,7 +412,7 @@ fn log_delta(cap: usize) -> Vec<f64> {
 }
 
 /// The exact MVA solution at one population.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MvaSolution {
     /// Client population `N`.
     pub population: u32,
@@ -432,7 +430,7 @@ pub struct MvaSolution {
 }
 
 /// Operational asymptotic bounds at one population.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AsymptoticBounds {
     /// Client population `N`.
     pub population: u32,

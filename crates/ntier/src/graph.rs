@@ -18,11 +18,9 @@
 //! it on every downstream call), so all per-call accessors are allocation
 //! free: edges live in one flat vector indexed by a per-node prefix table.
 
-use serde::{Deserialize, Serialize};
-
 /// One call edge: `calls` sequential invocations of tier `to` per visit of
 /// the owning (`from`) tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GraphEdge {
     /// Callee tier index.
     pub to: u16,
@@ -34,7 +32,7 @@ pub struct GraphEdge {
 /// A DAG of tiers with per-edge call counts, stored as a flat edge list
 /// with a per-node prefix index (`first_edge[m]..first_edge[m + 1]` are the
 /// out-edges of node `m`, in call order).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TopologyGraph {
     first_edge: Vec<u32>,
     edges: Vec<GraphEdge>,
@@ -83,9 +81,15 @@ impl TopologyGraph {
         reachable.resize(tiers, false);
         reachable[0] = true;
         for &(from, to, calls) in edge_list {
-            assert!(from < tiers && to < tiers, "edge ({from},{to}) out of range");
+            assert!(
+                from < tiers && to < tiers,
+                "edge ({from},{to}) out of range"
+            );
             assert!(from < to, "edges must point forward: ({from},{to})");
-            assert!(calls >= 1, "edge ({from},{to}) must carry at least one call");
+            assert!(
+                calls >= 1,
+                "edge ({from},{to}) must carry at least one call"
+            );
             reachable[to] = true;
         }
         for (m, &ok) in reachable.iter().enumerate() {
@@ -193,8 +197,7 @@ impl TopologyGraph {
     /// the chain's cumulative visit product.
     pub fn visit_ratios(&self) -> Vec<u64> {
         let tiers = self.tiers();
-        let mut ratios = Vec::with_capacity(tiers);
-        ratios.resize(tiers, 0u64);
+        let mut ratios: Vec<u64> = std::iter::repeat_n(0, tiers).collect();
         ratios[0] = 1;
         for m in 0..tiers {
             let here = ratios[m];

@@ -5,14 +5,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(u64);
 
         impl $name {
@@ -66,7 +62,7 @@ id_type!(
 /// held by cancelled timers dereference to `None` instead of aliasing a new
 /// request. Distinct from [`RequestId`], the public monotonic identity a
 /// request keeps for its whole life (spans, completions, trace export).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlightId(u64);
 
 impl FlightId {
@@ -98,7 +94,7 @@ impl fmt::Display for FlightId {
 }
 
 /// Identifies a tier by position in the chain (0 = frontmost).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TierId(pub usize);
 
 impl TierId {

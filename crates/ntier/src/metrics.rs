@@ -2,14 +2,13 @@
 //! Resource Monitor collects every second.
 
 use dcm_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Incremental time-weighted accumulator for a piecewise-constant value
 /// (active threads, connections in use).
 ///
 /// Unlike [`dcm_sim::stats::StepGauge`] it keeps no history — O(1) memory —
 /// which matters for servers updated millions of times per run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeWeighted {
     value: f64,
     integral: f64,
@@ -60,7 +59,7 @@ impl TimeWeighted {
 
 /// One monitoring sample from one server over a window (the agent's 1-second
 /// report in the paper's architecture).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerSample {
     /// Server name, e.g. `tomcat-1`.
     pub server: String,

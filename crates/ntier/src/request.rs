@@ -8,13 +8,12 @@
 //! the transitions.
 
 use dcm_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::graph::TopologyGraph;
 use crate::ids::{RequestId, ServerId};
 
 /// CPU demand at one tier, split around the downstream calls.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageDemand {
     /// Work-seconds before the first downstream call.
     pub pre: f64,
@@ -67,7 +66,7 @@ impl StageDemand {
 /// assert_eq!(profile.tiers(), 3);
 /// assert_eq!(profile.visits_to(2), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestProfile {
     demands: Vec<StageDemand>,
     visits: Vec<u32>,
@@ -283,7 +282,7 @@ impl RequestProfile {
 }
 
 /// Where a frame is in its tier-local lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Parked in the server's thread-pool queue.
     AwaitThread,
@@ -298,7 +297,7 @@ pub enum Phase {
 }
 
 /// One level of the request's call stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Frame {
     /// Tier index of this frame.
     pub tier: usize,
@@ -338,7 +337,7 @@ impl Frame {
 }
 
 /// Why a request left the system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
     /// Fully processed.
     Completed,
@@ -358,7 +357,7 @@ pub enum Outcome {
 }
 
 /// Completion record delivered to the submitter's callback.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
     /// The request.
     pub id: RequestId,

@@ -4,13 +4,12 @@
 use std::fmt;
 
 use dcm_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::server::ServerState;
 use crate::system::System;
 
 /// One server's state at snapshot time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerSnapshot {
     /// Server name, e.g. `app-2`.
     pub name: String,
@@ -31,7 +30,7 @@ pub struct ServerSnapshot {
 }
 
 /// One tier's state at snapshot time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TierSnapshot {
     /// Tier name from its spec.
     pub name: String,
@@ -54,7 +53,7 @@ pub struct TierSnapshot {
 /// assert_eq!(snap.tiers[1].servers.len(), 2);
 /// println!("{snap}"); // human-readable topology dump
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemSnapshot {
     /// Snapshot timestamp.
     pub at: SimTime,

@@ -187,7 +187,7 @@ impl Tier {
 }
 
 /// Conservation counters maintained by the flow layer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SystemCounters {
     /// Requests submitted.
     pub submitted: u64,
@@ -219,7 +219,7 @@ pub type CompletionCallback =
 /// server (e.g. its only VM just crashed and the replacement is booting),
 /// the caller parks the request and re-attempts entry after an exponential
 /// backoff instead of rejecting it outright.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InterTierRetry {
     /// Maximum entry attempts per tier visit (1 = no retry).
     pub max_attempts: u32,

@@ -15,13 +15,12 @@ use dcm_workload::cohort::CohortPopulation;
 use dcm_workload::generator::UserPopulation;
 use dcm_workload::profile::ProfileFactory;
 use dcm_workload::servlets::{Servlet, ServletMix};
-use serde::{Deserialize, Serialize};
 
 /// A pool size that never queues at the populations the grid sweeps.
 const AMPLE: u32 = 4096;
 
 /// What kind of analytic truth a scenario is checked against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScenarioKind {
     /// All laws frictionless: exact product-form network (delay tiers +
     /// `M/M/c` DB stations). Tight tolerance applies.
@@ -33,7 +32,7 @@ pub enum ScenarioKind {
 
 /// One conformance configuration (a topology; populations are swept
 /// separately so each `(scenario, population)` pair is one run).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Scenario {
     /// Short name used in tables (`mm1`, `law-mysql`, …).
     pub name: &'static str,
@@ -115,7 +114,7 @@ impl Scenario {
 }
 
 /// DES-vs-oracle comparison for one tier's residence per client request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierComparison {
     /// Measured mean residence per client request (seconds; queueing +
     /// service at this tier, downstream time excluded).
@@ -135,7 +134,7 @@ fn compare(des: f64, mva: f64) -> TierComparison {
 }
 
 /// One `(scenario, population)` conformance measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConformancePoint {
     /// Scenario name.
     pub scenario: &'static str,

@@ -36,5 +36,7 @@ pub use conformance::{
     default_grid, run_scenario, run_scenario_cohort, ConformancePoint, Scenario, ScenarioKind,
     TierComparison,
 };
-pub use mesh::{default_mesh_grid, run_mesh_scenario, CacheSpec, MeshNodeSpec, MeshPoint, MeshScenario};
+pub use mesh::{
+    default_mesh_grid, run_mesh_scenario, CacheSpec, MeshNodeSpec, MeshPoint, MeshScenario,
+};
 pub use planner::{predict, throughput_bound, PlannedTier, Prediction};

@@ -38,7 +38,6 @@ use dcm_sim::time::SimTime;
 use dcm_workload::cache::CacheDynamics;
 use dcm_workload::generator::UserPopulation;
 use dcm_workload::profile::{MeshProfileFactory, NodeDemand};
-use serde::{Deserialize, Serialize};
 
 use crate::conformance::TierComparison;
 
@@ -46,7 +45,7 @@ use crate::conformance::TierComparison;
 const AMPLE: u32 = 4096;
 
 /// One node of a mesh scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MeshNodeSpec {
     /// Display name (`web`, `svc-a`, `cache`, …).
     pub name: &'static str,
@@ -62,7 +61,7 @@ pub struct MeshNodeSpec {
 }
 
 /// A steady-state cache on one edge of the scenario graph.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CacheSpec {
     /// The caching node.
     pub from: usize,
@@ -73,7 +72,7 @@ pub struct CacheSpec {
 }
 
 /// One mesh conformance configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MeshScenario {
     /// Short name used in tables (`fanout`, `cache-steady`, …).
     pub name: &'static str,
@@ -222,7 +221,7 @@ impl MeshScenario {
 }
 
 /// One `(mesh scenario, population)` conformance measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MeshPoint {
     /// Scenario name.
     pub scenario: &'static str,

@@ -3,6 +3,7 @@
 //! oracle in the loop (the simulator is checked against itself).
 
 use dcm_ntier::balancer::BalancerPolicy;
+use dcm_ntier::graph::TopologyGraph;
 use dcm_ntier::law::{reference, ServiceLaw};
 use dcm_ntier::server::VmType;
 use dcm_ntier::system::VmPolicy;
@@ -11,7 +12,6 @@ use dcm_oracle::{run_scenario, Scenario, ScenarioKind};
 use dcm_sim::dist::Dist;
 use dcm_sim::time::SimTime;
 use dcm_workload::generator::UserPopulation;
-use dcm_ntier::graph::TopologyGraph;
 use dcm_workload::profile::{MeshProfileFactory, NodeDemand, ProfileFactory};
 
 /// Doubling every tier's server count AND the client population in a
@@ -196,14 +196,8 @@ fn single_flavor_vm_policy_is_bit_identical_to_homogeneous_default() {
                 NodeDemand::leaf(Dist::exponential_mean(0.02)).iid_visits(),
             ],
         );
-        let pop = UserPopulation::start_think_time(
-            &mut world,
-            &mut engine,
-            factory,
-            30,
-            1.0,
-            horizon,
-        );
+        let pop =
+            UserPopulation::start_think_time(&mut world, &mut engine, factory, 30, 1.0, horizon);
         engine.run(&mut world);
         let counters = world.system.counters();
         let finishes =

@@ -6,8 +6,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::rng::SimRng;
 
 /// A source of non-negative `f64` samples (times, sizes, rates).
@@ -34,7 +32,7 @@ pub trait Sample {
 /// assert!(x >= 0.0);
 /// assert_eq!(d.mean(), Some(0.5));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Dist {
     /// Always returns the same value.
     Constant(f64),

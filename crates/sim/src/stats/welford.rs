@@ -1,7 +1,5 @@
 //! Numerically stable online mean/variance (Welford's algorithm).
 
-use serde::{Deserialize, Serialize};
-
 /// Streaming summary of a sequence of `f64` observations.
 ///
 /// # Examples
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.mean(), 5.0);
 /// assert_eq!(s.population_variance(), 4.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,

@@ -15,7 +15,6 @@ use std::rc::Rc;
 use dcm_ntier::world::{SimEngine, World};
 use dcm_sim::dist::{Dist, Sample};
 use dcm_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Two-state MMPP configuration.
 ///
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// let config = MmppConfig::with_intensity(8.0);
 /// assert_eq!(config.burst_intensity, 8.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MmppConfig {
     /// Mean dwell time in the normal state (seconds).
     pub mean_normal_secs: f64,

@@ -403,8 +403,8 @@ fn rearm(state: &Rc<RefCell<CohortState>>, engine: &mut SimEngine, cohort: usize
 mod tests {
     use super::*;
 
-    use crate::profile::ProfileFactory;
     use crate::generator::UserPopulation;
+    use crate::profile::ProfileFactory;
     use dcm_ntier::topology::ThreeTierBuilder;
 
     fn run_per_user(seed: u64, users: u32, think: Option<Dist>) -> (Vec<Completion>, u64) {

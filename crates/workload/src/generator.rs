@@ -36,7 +36,7 @@ use crate::traces::WorkloadTrace;
 /// budget bounds retry amplification: once the tokens run out, failures
 /// surface to the virtual user instead of multiplying load on an already
 /// degraded system.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts per logical request (1 = no retries).
     pub max_attempts: u32,
