@@ -31,9 +31,10 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use dcm_model::mva::SolveCache;
 use dcm_ntier::world::{SimEngine, World};
 use dcm_obs::journal::{Decision, DecisionJournal, JournalEntry, PlanProvenance, TierObservation};
-use dcm_oracle::planner::{predict, PlannedTier, Prediction};
+use dcm_oracle::planner::{predict_with, PlannedTier, Prediction};
 
 use crate::agents::{ActionRecord, AppAgent, VmAgent};
 use crate::aggregate::TierWindow;
@@ -291,41 +292,21 @@ impl ModelPredictive {
         let thread_options = [n_app, (f64::from(n_app) * headroom).ceil() as u32];
         let conn_options = [n_db, (f64::from(n_db) * headroom).ceil() as u32];
 
-        let web = self.estimates[&0];
-        let app = self.estimates[&self.config.app_tier];
-        let db = self.estimates[&self.config.db_tier];
-
+        // One cache per round: every candidate shares the web tier, and
+        // app and db tiers repeat across the grid.
+        let mut cache = SolveCache::default();
         let mut out = Vec::new();
         for a in span(cur_app.max(1)) {
             for d in span(cur_db.max(1)) {
                 for &threads in &thread_options {
                     for &conns_per_db in &conn_options {
-                        let tiers = vec![
-                            PlannedTier {
-                                servers: web_servers as u32,
-                                concurrency: UNMANAGED_CONCURRENCY,
-                                demand: web.base_demand.max(1e-6),
-                                visits: web.visits.max(1e-6),
-                            },
-                            PlannedTier {
-                                servers: a as u32,
-                                concurrency: threads,
-                                demand: (app.base_demand
-                                    * self.contention(self.config.app_tier, f64::from(threads)))
-                                .max(1e-6),
-                                visits: app.visits.max(1e-6),
-                            },
-                            PlannedTier {
-                                servers: d as u32,
-                                concurrency: conns_per_db,
-                                demand: (db.base_demand
-                                    * self
-                                        .contention(self.config.db_tier, f64::from(conns_per_db)))
-                                .max(1e-6),
-                                visits: db.visits.max(1e-6),
-                            },
-                        ];
-                        let prediction = predict(&tiers, self.config.think_time_secs, population);
+                        let tiers = self.planned_tiers(web_servers, a, d, threads, conns_per_db);
+                        let prediction = predict_with(
+                            &tiers,
+                            self.config.think_time_secs,
+                            population,
+                            &mut cache,
+                        );
                         self.planner_evals += 1;
                         out.push(Candidate {
                             app_servers: a,
@@ -339,6 +320,46 @@ impl ModelPredictive {
             }
         }
         out
+    }
+
+    /// The planner's view of one candidate: the web tier as it stands, the
+    /// app and db tiers at the candidate's VM counts with demands
+    /// contention-adjusted to its pool sizes.
+    fn planned_tiers(
+        &self,
+        web_servers: usize,
+        app_servers: usize,
+        db_servers: usize,
+        threads: u32,
+        conns_per_db: u32,
+    ) -> Vec<PlannedTier> {
+        let web = self.estimates[&0];
+        let app = self.estimates[&self.config.app_tier];
+        let db = self.estimates[&self.config.db_tier];
+        vec![
+            PlannedTier {
+                servers: web_servers as u32,
+                concurrency: UNMANAGED_CONCURRENCY,
+                demand: web.base_demand.max(1e-6),
+                visits: web.visits.max(1e-6),
+            },
+            PlannedTier {
+                servers: app_servers as u32,
+                concurrency: threads,
+                demand: (app.base_demand
+                    * self.contention(self.config.app_tier, f64::from(threads)))
+                .max(1e-6),
+                visits: app.visits.max(1e-6),
+            },
+            PlannedTier {
+                servers: db_servers as u32,
+                concurrency: conns_per_db,
+                demand: (db.base_demand
+                    * self.contention(self.config.db_tier, f64::from(conns_per_db)))
+                .max(1e-6),
+                visits: db.visits.max(1e-6),
+            },
+        ]
     }
 
     /// The cheapest SLO-meeting candidate, or the lowest-response
@@ -708,6 +729,7 @@ mod tests {
     use dcm_ntier::law::reference;
     use dcm_ntier::metrics::ServerSample;
     use dcm_ntier::topology::ThreeTierBuilder;
+    use dcm_oracle::planner::predict;
     use dcm_sim::time::SimTime;
 
     fn models() -> DcmModels {
@@ -781,6 +803,55 @@ mod tests {
         let entry = journal.borrow().entries()[1].clone();
         if let Some(plan) = entry.plan {
             assert!(plan.prediction_error.is_some());
+        }
+    }
+
+    /// The per-round solve cache changes no prediction: over one tick's
+    /// full candidate grid, cached and uncached predictions agree bit for
+    /// bit, and each enumerated candidate is one planner evaluation.
+    #[test]
+    fn cached_candidate_grid_matches_uncached_predictions() {
+        let (mut world, mut engine) = ThreeTierBuilder::new().build();
+        let bus = new_metrics_bus();
+        let mut mpc = ModelPredictive::new(Rc::clone(&bus), MpcConfig::default(), models());
+        let journal = Rc::new(RefCell::new(DecisionJournal::new()));
+        mpc.attach_journal(Rc::clone(&journal));
+        feed_all(&bus, 1_000, 0.5);
+        mpc.on_tick(&mut world, &mut engine);
+        let plan = journal.borrow().entries()[0]
+            .plan
+            .clone()
+            .expect("plan provenance journaled");
+        assert_eq!(mpc.planner_evals(), u64::from(plan.candidates));
+
+        let population: u32 = plan
+            .chosen
+            .rsplit("N=")
+            .next()
+            .and_then(|n| n.parse().ok())
+            .expect("journaled plan names its population");
+        let before = mpc.planner_evals();
+        let grid = mpc.enumerate(&world, population);
+        assert_eq!(mpc.planner_evals() - before, grid.len() as u64);
+        let web_servers = world.system.running_count(0).max(1);
+        for c in &grid {
+            let conns_per_db = c.db_conns_total / c.db_servers as u32;
+            let tiers = mpc.planned_tiers(
+                web_servers,
+                c.app_servers,
+                c.db_servers,
+                c.app_threads,
+                conns_per_db,
+            );
+            let uncached = predict(&tiers, mpc.config.think_time_secs, population);
+            assert_eq!(
+                c.prediction.throughput.to_bits(),
+                uncached.throughput.to_bits()
+            );
+            assert_eq!(
+                c.prediction.response_time.to_bits(),
+                uncached.response_time.to_bits()
+            );
         }
     }
 

@@ -24,12 +24,19 @@
 //! recursion, which loses mass to cancellation for wide multi-server
 //! stations near saturation) the algorithm is numerically stable; each
 //! working vector is max-normalized against overflow, and the scales
-//! cancel in every reported ratio. Cost is `O(stations · N²)`, trivial
-//! for the populations the simulator sweeps.
+//! cancel in every reported ratio. For `k ≥ 2` bounded stations a solve
+//! costs `3k − 4` full `O(N²)` convolutions (prefix, suffix and complement
+//! products; none for `k ≤ 1`) plus two slots of the full-network
+//! product, which is read only at `N−1` and `N`. Solves that share a
+//! [`SolveCache`] also share factor vectors and partial products: the
+//! MPC planner's candidates differ only in their last two stations and
+//! pay two full convolutions each.
 //!
 //! [`asymptotic_bounds`] provides the classic operational bounds
 //! `X(N) ≤ min(N/(Z+ΣD), min_m μ_m^max/V_m)` that any measurement must
 //! respect regardless of distributional assumptions.
+
+use std::collections::BTreeMap;
 
 /// One service station of a closed network.
 #[derive(Debug, Clone, PartialEq)]
@@ -217,6 +224,13 @@ impl ClosedNetwork {
     /// Solves the network exactly for population `n` via the convolution
     /// algorithm. `n = 0` yields the degenerate all-zero solution.
     pub fn solve(&self, n: u32) -> MvaSolution {
+        self.solve_with(n, &mut SolveCache::default())
+    }
+
+    /// [`solve`](Self::solve), sharing factor vectors and partial
+    /// convolutions with every other solve through `cache`. The result is
+    /// bit-identical to a solve with a fresh cache.
+    pub fn solve_with(&self, n: u32, cache: &mut SolveCache) -> MvaSolution {
         let m = self.stations.len();
         if n == 0 {
             return MvaSolution {
@@ -246,66 +260,55 @@ impl ClosedNetwork {
                 .filter(|s| s.is_delay())
                 .map(|s| s.demand())
                 .sum::<f64>();
-        let is_factor: Vec<f64> = {
-            let mut lf = vec![0.0f64; cap + 1];
-            for j in 1..=cap {
-                lf[j] = if z_total > 0.0 {
-                    lf[j - 1] + z_total.ln() - (j as f64).ln()
-                } else {
-                    f64::NEG_INFINITY
-                };
-            }
-            lf
-        };
-        let factors: Vec<Vec<f64>> = bounded
+        let is_factor = cache.think_factor(cap, z_total);
+        let factors: Vec<usize> = bounded
             .iter()
-            .map(|&i| {
-                let s = &self.stations[i];
-                let v = s.visit_ratio();
-                let mut lf = vec![0.0f64; cap + 1];
-                for j in 1..=cap {
-                    let mu = s.rate_at(j as u32).expect("non-delay station has a rate");
-                    lf[j] = if v > 0.0 {
-                        lf[j - 1] + (v / mu).ln()
-                    } else {
-                        f64::NEG_INFINITY
-                    };
-                }
-                lf
-            })
+            .map(|&i| cache.station_factor(cap, &self.stations[i]))
             .collect();
 
         // Prefix/suffix convolutions over [IS, bounded stations…] so each
-        // station's complement network G^(m) is one extra convolution.
-        let k = bounded.len();
-        let mut prefix: Vec<Vec<f64>> = Vec::with_capacity(k + 1);
-        prefix.push(is_factor.clone());
-        for f in &factors {
-            let g = log_convolve(prefix.last().expect("non-empty"), f);
-            prefix.push(g);
-        }
-        let g_full = prefix.last().expect("non-empty").clone();
-        let mut suffix: Vec<Vec<f64>> = vec![Vec::new(); k + 1];
-        let mut acc = log_delta(cap);
-        suffix[k] = acc.clone();
-        for i in (0..k).rev() {
-            acc = log_convolve(&factors[i], &acc);
-            suffix[i] = acc.clone();
-        }
+        // station's complement network G^(m) is one extra convolution:
+        // prefix[i] = IS ⊛ f_0 ⊛ … ⊛ f_(i-1) and suffix[i] = f_i ⊛ … ⊛
+        // f_(k-1). The full network prefix[k] is read only at N-1 and N,
+        // so only those two slots of it are computed; suffix[0] is never
+        // read, and suffix[k-1] = f_(k-1) needs no convolution.
+        let k = factors.len();
+        let mut complements = Vec::with_capacity(k);
+        let (g_prev, g_full) = match factors.split_last() {
+            None => {
+                let g = cache.vector(is_factor);
+                (g[cap - 1], g[cap])
+            }
+            Some((&last, init)) => {
+                let mut prefix = vec![is_factor];
+                for &f in init {
+                    let g = cache.convolve(*prefix.last().expect("non-empty"), f);
+                    prefix.push(g);
+                }
+                let mut suffix = vec![last; k];
+                for i in (1..k - 1).rev() {
+                    suffix[i] = cache.convolve(factors[i], suffix[i + 1]);
+                }
+                // Complement of station i: IS ⊛ the other bounded stations
+                // (for the last station that is prefix[k-1] itself).
+                for i in 0..k - 1 {
+                    complements.push(cache.convolve(prefix[i], suffix[i + 1]));
+                }
+                complements.push(prefix[k - 1]);
+                let (a, b) = (cache.vector(prefix[k - 1]), cache.vector(last));
+                (log_convolve_at(a, b, cap - 1), log_convolve_at(a, b, cap))
+            }
+        };
 
         // X(N) = G(N-1)/G(N).
-        let throughput = (g_full[cap - 1] - g_full[cap]).exp();
+        let throughput = (g_prev - g_full).exp();
 
         let mut station_queue = vec![0.0; m];
         for (bi, &i) in bounded.iter().enumerate() {
-            // Complement of station i: IS ⊛ the other bounded stations.
-            let mut compl = prefix[bi].clone();
-            if bi < k {
-                compl = log_convolve(&compl, &suffix[bi + 1]);
-            }
+            let (factor, compl) = (cache.vector(factors[bi]), cache.vector(complements[bi]));
             // Exact marginal p(j|N) ∝ f_i(j)·G^(i)(N-j); normalizing over
             // j removes the shared scale at once.
-            let lq: Vec<f64> = (0..=cap).map(|j| factors[bi][j] + compl[cap - j]).collect();
+            let lq: Vec<f64> = (0..=cap).map(|j| factor[j] + compl[cap - j]).collect();
             let mx = lq.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             let mut mass = 0.0;
             let mut weighted = 0.0;
@@ -356,11 +359,6 @@ impl ClosedNetwork {
         }
     }
 
-    /// Solves for every population `1..=n` (the full ramp, one exact pass).
-    pub fn solve_ramp(&self, n: u32) -> Vec<MvaSolution> {
-        (1..=n).map(|k| self.solve(k)).collect()
-    }
-
     /// Classic asymptotic operational bounds for population `n`.
     pub fn asymptotic_bounds(&self, n: u32) -> AsymptoticBounds {
         let d_total = self.total_demand();
@@ -390,25 +388,122 @@ impl ClosedNetwork {
 /// any population.
 fn log_convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
     debug_assert_eq!(a.len(), b.len());
-    let len = a.len();
-    let mut out = vec![f64::NEG_INFINITY; len];
-    for (n, slot) in out.iter_mut().enumerate() {
-        let mx = (0..=n)
-            .map(|j| a[j] + b[n - j])
-            .fold(f64::NEG_INFINITY, f64::max);
-        if mx > f64::NEG_INFINITY {
-            let sum: f64 = (0..=n).map(|j| (a[j] + b[n - j] - mx).exp()).sum();
-            *slot = mx + sum.ln();
-        }
-    }
-    out
+    (0..a.len()).map(|n| log_convolve_at(a, b, n)).collect()
 }
 
-/// The log-space convolution identity: `[0, -inf, -inf, …]`.
-fn log_delta(cap: usize) -> Vec<f64> {
-    let mut v = vec![f64::NEG_INFINITY; cap + 1];
-    v[0] = 0.0;
-    v
+/// Slot `n` of [`log_convolve`]`(a, b)`, computed on its own.
+fn log_convolve_at(a: &[f64], b: &[f64], n: usize) -> f64 {
+    let mx = (0..=n)
+        .map(|j| a[j] + b[n - j])
+        .fold(f64::NEG_INFINITY, f64::max);
+    if mx > f64::NEG_INFINITY {
+        let sum: f64 = (0..=n).map(|j| (a[j] + b[n - j] - mx).exp()).sum();
+        mx + sum.ln()
+    } else {
+        f64::NEG_INFINITY
+    }
+}
+
+/// Memo of the convolution tree shared by any number of
+/// [`ClosedNetwork::solve_with`] calls.
+///
+/// Factor vectors are interned by the exact bits of what they are a
+/// function of (the population, and the think time or the station's
+/// parameters); a convolution is memoised by its two operand ids in
+/// argument order. Every vector the cache hands out is therefore exactly
+/// the one a fresh solve would compute, so sharing a cache never changes
+/// a result. Solves of networks that share stations (the candidates of
+/// one planning round) reuse each other's work. The cache only grows:
+/// keep one per batch of related solves and drop it after.
+#[derive(Debug, Default)]
+pub struct SolveCache {
+    /// Every interned or computed vector; an id indexes this list.
+    vectors: Vec<Vec<f64>>,
+    factors: BTreeMap<FactorKey, usize>,
+    convolutions: BTreeMap<(usize, usize), usize>,
+}
+
+/// What a factor vector is a function of, by exact bits: the population
+/// first, then the station parameters.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum FactorKey {
+    /// Think time plus delay demand (the infinite-server factor).
+    Think(usize, u64),
+    /// Visit ratio, service time, servers.
+    Queueing(usize, u64, u64, u32),
+    /// Visit ratio, service time, rate multipliers.
+    LoadDependent(usize, u64, u64, Vec<u64>),
+}
+
+impl SolveCache {
+    fn vector(&self, id: usize) -> &[f64] {
+        &self.vectors[id]
+    }
+
+    fn push(&mut self, v: Vec<f64>) -> usize {
+        self.vectors.push(v);
+        self.vectors.len() - 1
+    }
+
+    fn intern(&mut self, key: FactorKey, build: impl FnOnce() -> Vec<f64>) -> usize {
+        if let Some(&id) = self.factors.get(&key) {
+            return id;
+        }
+        let id = self.push(build());
+        self.factors.insert(key, id);
+        id
+    }
+
+    /// The infinite-server factor `log f_0(j) = j·ln z − ln j!`, `j ≤ cap`.
+    fn think_factor(&mut self, cap: usize, z_total: f64) -> usize {
+        self.intern(FactorKey::Think(cap, z_total.to_bits()), || {
+            let mut lf = vec![0.0f64; cap + 1];
+            for j in 1..=cap {
+                lf[j] = if z_total > 0.0 {
+                    lf[j - 1] + z_total.ln() - (j as f64).ln()
+                } else {
+                    f64::NEG_INFINITY
+                };
+            }
+            lf
+        })
+    }
+
+    /// A bounded station's factor `log f_m(j) = Σ_{i≤j} ln(V_m/μ_m(i))`.
+    fn station_factor(&mut self, cap: usize, s: &Station) -> usize {
+        let v = s.visit_ratio();
+        let (v_bits, s_bits) = (v.to_bits(), s.service_time().to_bits());
+        let key = match s {
+            Station::Queueing { servers, .. } => FactorKey::Queueing(cap, v_bits, s_bits, *servers),
+            Station::LoadDependent { rate, .. } => {
+                let rate = rate.iter().map(|r| r.to_bits()).collect();
+                FactorKey::LoadDependent(cap, v_bits, s_bits, rate)
+            }
+            Station::Delay { .. } => unreachable!("delay stations fold into the think factor"),
+        };
+        self.intern(key, || {
+            let mut lf = vec![0.0f64; cap + 1];
+            for j in 1..=cap {
+                let mu = s.rate_at(j as u32).expect("non-delay station has a rate");
+                lf[j] = if v > 0.0 {
+                    lf[j - 1] + (v / mu).ln()
+                } else {
+                    f64::NEG_INFINITY
+                };
+            }
+            lf
+        })
+    }
+
+    /// The id of `log_convolve(a, b)`, computed once per operand pair.
+    fn convolve(&mut self, a: usize, b: usize) -> usize {
+        if let Some(&id) = self.convolutions.get(&(a, b)) {
+            return id;
+        }
+        let id = self.push(log_convolve(&self.vectors[a], &self.vectors[b]));
+        self.convolutions.insert((a, b), id);
+        id
+    }
 }
 
 /// The exact MVA solution at one population.
@@ -476,6 +571,7 @@ pub fn law_rate_table(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Direct birth–death steady state for a single station + terminal:
     /// states `j = 0..=n` jobs at the station, birth `λ(j) = (n-j)/Z`,
@@ -760,5 +856,226 @@ mod tests {
         assert!((rate[1] - 2.0).abs() < 1e-12);
         assert!((rate[2] - 3.0).abs() < 1e-12);
         assert!((rate[9] - 3.0).abs() < 1e-12, "caps at the pool size");
+    }
+
+    /// The solver as it stood before [`SolveCache`]: nine-convolution
+    /// prefix/suffix/complement tree for three bounded stations, with
+    /// identity convolutions and the unused `suffix[0]` included. Kept as
+    /// the oracle the memoised tree must match bit for bit.
+    fn reference_solve(net: &ClosedNetwork, n: u32) -> MvaSolution {
+        fn convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
+            let len = a.len();
+            let mut out = vec![f64::NEG_INFINITY; len];
+            for (n, slot) in out.iter_mut().enumerate() {
+                let mx = (0..=n)
+                    .map(|j| a[j] + b[n - j])
+                    .fold(f64::NEG_INFINITY, f64::max);
+                if mx > f64::NEG_INFINITY {
+                    let sum: f64 = (0..=n).map(|j| (a[j] + b[n - j] - mx).exp()).sum();
+                    *slot = mx + sum.ln();
+                }
+            }
+            out
+        }
+        let m = net.stations.len();
+        if n == 0 {
+            return MvaSolution {
+                population: 0,
+                throughput: 0.0,
+                response_time: 0.0,
+                station_residence: vec![0.0; m],
+                station_queue: vec![0.0; m],
+                station_utilization: vec![0.0; m],
+            };
+        }
+        let cap = n as usize;
+        let bounded: Vec<usize> = (0..m).filter(|&i| !net.stations[i].is_delay()).collect();
+        let z_total: f64 = net.think_time
+            + net
+                .stations
+                .iter()
+                .filter(|s| s.is_delay())
+                .map(|s| s.demand())
+                .sum::<f64>();
+        let mut is_factor = vec![0.0f64; cap + 1];
+        for j in 1..=cap {
+            is_factor[j] = if z_total > 0.0 {
+                is_factor[j - 1] + z_total.ln() - (j as f64).ln()
+            } else {
+                f64::NEG_INFINITY
+            };
+        }
+        let factors: Vec<Vec<f64>> = bounded
+            .iter()
+            .map(|&i| {
+                let s = &net.stations[i];
+                let v = s.visit_ratio();
+                let mut lf = vec![0.0f64; cap + 1];
+                for j in 1..=cap {
+                    let mu = s.rate_at(j as u32).expect("non-delay station has a rate");
+                    lf[j] = if v > 0.0 {
+                        lf[j - 1] + (v / mu).ln()
+                    } else {
+                        f64::NEG_INFINITY
+                    };
+                }
+                lf
+            })
+            .collect();
+        let k = bounded.len();
+        let mut prefix: Vec<Vec<f64>> = vec![is_factor];
+        for f in &factors {
+            let g = convolve(prefix.last().expect("non-empty"), f);
+            prefix.push(g);
+        }
+        let g_full = prefix.last().expect("non-empty").clone();
+        let mut suffix: Vec<Vec<f64>> = vec![Vec::new(); k + 1];
+        let mut acc = vec![f64::NEG_INFINITY; cap + 1];
+        acc[0] = 0.0;
+        suffix[k] = acc.clone();
+        for i in (0..k).rev() {
+            acc = convolve(&factors[i], &acc);
+            suffix[i] = acc.clone();
+        }
+        let throughput = (g_full[cap - 1] - g_full[cap]).exp();
+        let mut station_queue = vec![0.0; m];
+        for (bi, &i) in bounded.iter().enumerate() {
+            let compl = convolve(&prefix[bi], &suffix[bi + 1]);
+            let lq: Vec<f64> = (0..=cap).map(|j| factors[bi][j] + compl[cap - j]).collect();
+            let mx = lq.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let mut mass = 0.0;
+            let mut weighted = 0.0;
+            if mx > f64::NEG_INFINITY {
+                for (j, &l) in lq.iter().enumerate() {
+                    let q = (l - mx).exp();
+                    mass += q;
+                    weighted += j as f64 * q;
+                }
+            }
+            station_queue[i] = if mass > 0.0 { weighted / mass } else { 0.0 };
+        }
+        let station_residence: Vec<f64> = net
+            .stations
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                if s.is_delay() {
+                    s.demand()
+                } else {
+                    station_queue[i] / throughput
+                }
+            })
+            .collect();
+        for (i, s) in net.stations.iter().enumerate() {
+            if s.is_delay() {
+                station_queue[i] = throughput * s.demand();
+            }
+        }
+        let station_utilization: Vec<f64> = net
+            .stations
+            .iter()
+            .map(|s| match s.max_rate() {
+                Some(peak) => throughput * s.visit_ratio() / peak,
+                None => throughput * s.demand(),
+            })
+            .collect();
+        let response_time = station_residence.iter().sum();
+        MvaSolution {
+            population: n,
+            throughput,
+            response_time,
+            station_residence,
+            station_queue,
+            station_utilization,
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn station() -> impl Strategy<Value = Station> {
+        prop_oneof![
+            (0.2f64..3.0, 0.001f64..0.5).prop_map(|(visit_ratio, service_time)| {
+                Station::Delay {
+                    visit_ratio,
+                    service_time,
+                }
+            }),
+            (prop_oneof![Just(0.0), 0.2f64..3.0], 0.001f64..0.5, 1u32..64).prop_map(
+                |(visit_ratio, service_time, servers)| Station::Queueing {
+                    visit_ratio,
+                    service_time,
+                    servers,
+                }
+            ),
+            (
+                0.2f64..3.0,
+                0.001f64..0.5,
+                prop::collection::vec(0.2f64..8.0, 1..12)
+            )
+                .prop_map(|(visit_ratio, service_time, rate)| Station::LoadDependent {
+                    visit_ratio,
+                    service_time,
+                    rate,
+                }),
+        ]
+    }
+
+    /// `s` with one parameter changed: the case a cache key that missed
+    /// that parameter would confuse with `s`.
+    fn sibling(s: &Station) -> Station {
+        let mut t = s.clone();
+        match &mut t {
+            Station::Delay { service_time, .. } => *service_time *= 2.0,
+            Station::Queueing { servers, .. } => *servers += 1,
+            Station::LoadDependent { rate, .. } => rate.push(rate[rate.len() - 1] * 1.5),
+        }
+        t
+    }
+
+    proptest! {
+        /// Solves through one shared cache, in shuffled order, equal the
+        /// reference solver bit for bit in every field. Networks draw their
+        /// 1–4 stations from a small shared pool (each drawn station and a
+        /// sibling) at two populations, so factors and partial products are
+        /// reused across solves.
+        #[test]
+        fn shared_cache_solves_match_reference_bitwise(
+            pool in prop::collection::vec(station(), 1..6),
+            think in prop_oneof![Just(0.0), 0.1f64..3.0],
+            picks in prop::collection::vec(
+                (prop::collection::vec(0usize..10, 1..5), 0usize..2, any::<u64>()),
+                1..6,
+            ),
+            populations in (1u32..401, 1u32..401),
+        ) {
+            let pool: Vec<Station> = pool.iter().flat_map(|s| [s.clone(), sibling(s)]).collect();
+            let mut jobs: Vec<(u64, ClosedNetwork, u32)> = picks
+                .iter()
+                .map(|(stations, which, order)| {
+                    let stations = stations.iter().map(|&i| pool[i % pool.len()].clone());
+                    let n = if *which == 0 { populations.0 } else { populations.1 };
+                    (*order, ClosedNetwork::new(stations.collect(), think), n)
+                })
+                .collect();
+            // Every job twice, so some solves are whole-tree cache hits.
+            jobs.extend(jobs.clone().into_iter().map(|(o, net, n)| (o.rotate_left(32), net, n)));
+            jobs.sort_by_key(|job| job.0);
+            let mut cache = SolveCache::default();
+            for (_, net, n) in &jobs {
+                let got = net.solve_with(*n, &mut cache);
+                let want = reference_solve(net, *n);
+                prop_assert_eq!(got.population, want.population);
+                prop_assert_eq!(got.throughput.to_bits(), want.throughput.to_bits());
+                prop_assert_eq!(got.response_time.to_bits(), want.response_time.to_bits());
+                prop_assert_eq!(bits(&got.station_residence), bits(&want.station_residence));
+                prop_assert_eq!(bits(&got.station_queue), bits(&want.station_queue));
+                prop_assert_eq!(
+                    bits(&got.station_utilization),
+                    bits(&want.station_utilization)
+                );
+            }
+        }
     }
 }

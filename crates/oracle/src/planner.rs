@@ -19,7 +19,7 @@
 //! `X ≤ min(N/(Z+ΣD), min_m c_m/D_m)` — properties the planner proptests
 //! pin down.
 
-use dcm_model::mva::{ClosedNetwork, Station};
+use dcm_model::mva::{ClosedNetwork, SolveCache, Station};
 
 /// One tier of a candidate deployment, as the planner sees it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,7 +96,19 @@ fn network(tiers: &[PlannedTier], think: f64) -> ClosedNetwork {
 /// Panics on an empty tier list, a non-positive demand, or a negative /
 /// non-finite think time (same contract as [`ClosedNetwork::new`]).
 pub fn predict(tiers: &[PlannedTier], think: f64, population: u32) -> Prediction {
-    let sol = network(tiers, think).solve(population);
+    predict_with(tiers, think, population, &mut SolveCache::default())
+}
+
+/// [`predict`], sharing solver work with the other predictions made
+/// through `cache` (see [`ClosedNetwork::solve_with`]); bit-identical to
+/// [`predict`].
+pub fn predict_with(
+    tiers: &[PlannedTier],
+    think: f64,
+    population: u32,
+    cache: &mut SolveCache,
+) -> Prediction {
+    let sol = network(tiers, think).solve_with(population, cache);
     Prediction {
         population,
         throughput: sol.throughput,
