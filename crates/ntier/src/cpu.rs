@@ -86,6 +86,9 @@ pub struct CpuScheduler<R = RequestId> {
     last_update: SimTime,
     contention: u32,
     bursts: BinaryHeap<Reverse<Burst<R>>>,
+    /// `law.progress_speed(max(contention, active bursts))`, refreshed
+    /// whenever either input changes.
+    speed: f64,
     seq: u64,
     busy_seconds: f64,
     completed_work: f64,
@@ -106,6 +109,7 @@ impl<R: Copy + Eq + std::fmt::Debug> CpuScheduler<R> {
             last_update: SimTime::ZERO,
             contention: 0,
             bursts: BinaryHeap::new(),
+            speed: law.progress_speed(0),
             seq: 0,
             busy_seconds: 0.0,
             completed_work: 0.0,
@@ -163,7 +167,7 @@ impl<R: Copy + Eq + std::fmt::Debug> CpuScheduler<R> {
         let projected_clock = if self.bursts.is_empty() {
             self.work_clock
         } else {
-            self.work_clock + dt * self.speed()
+            self.work_clock + dt * self.speed
         };
         let in_progress: f64 = self
             .bursts
@@ -176,11 +180,13 @@ impl<R: Copy + Eq + std::fmt::Debug> CpuScheduler<R> {
         self.completed_work + in_progress
     }
 
-    fn speed(&self) -> f64 {
+    /// Recomputes the cached progress speed after a change to contention
+    /// or to the set of active bursts.
+    fn refresh_speed(&mut self) {
         // Contention never reads below the number of bursts actually on the
         // CPU — a server cannot be less contended than its running work.
         let n = self.contention.max(self.bursts.len() as u32);
-        self.law.progress_speed(n)
+        self.speed = self.law.progress_speed(n);
     }
 
     /// Advances the work clock to `now`.
@@ -193,7 +199,7 @@ impl<R: Copy + Eq + std::fmt::Debug> CpuScheduler<R> {
         let dt = now.saturating_since(self.last_update).as_secs_f64();
         if dt > 0.0 {
             if !self.bursts.is_empty() {
-                self.work_clock += dt * self.speed();
+                self.work_clock += dt * self.speed;
                 self.busy_seconds += dt;
             }
             self.last_update = now;
@@ -206,6 +212,7 @@ impl<R: Copy + Eq + std::fmt::Debug> CpuScheduler<R> {
     pub fn set_contention(&mut self, now: SimTime, n: u32) {
         self.advance(now);
         self.contention = n;
+        self.refresh_speed();
     }
 
     /// Starts a burst of `work` work-seconds for `req`.
@@ -227,6 +234,7 @@ impl<R: Copy + Eq + std::fmt::Debug> CpuScheduler<R> {
         };
         self.seq += 1;
         self.bursts.push(Reverse(burst));
+        self.refresh_speed();
         self.max_active_bursts = self.max_active_bursts.max(self.bursts.len());
     }
 
@@ -236,9 +244,9 @@ impl<R: Copy + Eq + std::fmt::Debug> CpuScheduler<R> {
         let &Reverse(burst) = self.bursts.peek()?;
         // Project the clock forward from `now` (callers advance first).
         let pending_dt = now.saturating_since(self.last_update).as_secs_f64();
-        let projected_clock = self.work_clock + pending_dt * self.speed();
+        let projected_clock = self.work_clock + pending_dt * self.speed;
         let remaining = (burst.target.0 - projected_clock).max(0.0);
-        let dt = remaining / self.speed();
+        let dt = remaining / self.speed;
         Some((
             now + dcm_sim::time::SimDuration::from_secs_f64(dt),
             burst.req,
@@ -252,6 +260,7 @@ impl<R: Copy + Eq + std::fmt::Debug> CpuScheduler<R> {
         let &Reverse(burst) = self.bursts.peek()?;
         if burst.target.0 <= self.work_clock + WORK_EPSILON {
             self.bursts.pop();
+            self.refresh_speed();
             self.completed_work += burst.work.0;
             Some(burst.req)
         } else {
@@ -270,6 +279,7 @@ impl<R: Copy + Eq + std::fmt::Debug> CpuScheduler<R> {
             .filter(|&Reverse(b)| b.req != req)
             .collect();
         self.bursts = retained.into();
+        self.refresh_speed();
         before != self.bursts.len()
     }
 }

@@ -612,21 +612,28 @@ fn release_thread_during_unwind(
     maybe_finish_drain(world, engine, sid);
 }
 
-/// Re-arms a server's CPU completion event after any change to its CPU
-/// state (new burst, contention change, pop).
+/// Re-keys a server's CPU completion timer after any change to its CPU
+/// state (new burst, contention change, pop): armed for the next
+/// completion, disarmed when the CPU is idle. The timer is created on
+/// first use and then moved in place, so a burst arrival or departure
+/// costs one `arm` and no event allocation.
 pub fn resched_completion(world: &mut World, engine: &mut SimEngine, sid: ServerId) {
     let now = engine.now();
     let Some(server) = world.system.server_mut(sid) else {
         return;
     };
-    if let Some(ev) = server.completion_event.take() {
-        engine.cancel(ev);
-    }
     server.cpu_mut().advance(now);
-    if let Some((at, _)) = server.cpu().next_completion(now) {
-        let ev = engine.schedule_at(at, move |w, e| on_cpu_completion(w, e, sid));
-        if let Some(server) = world.system.server_mut(sid) {
-            server.completion_event = Some(ev);
+    match server.cpu().next_completion(now) {
+        Some((at, _)) => {
+            let timer = *server
+                .completion_timer
+                .get_or_insert_with(|| engine.timer(move |w, e| on_cpu_completion(w, e, sid)));
+            engine.arm(timer, at);
+        }
+        None => {
+            if let Some(timer) = server.completion_timer {
+                engine.disarm(timer);
+            }
         }
     }
 }
@@ -638,8 +645,8 @@ fn maybe_finish_drain(world: &mut World, engine: &mut SimEngine, sid: ServerId) 
         return;
     };
     if server.drained() {
-        if let Some(ev) = server.completion_event.take() {
-            engine.cancel(ev);
+        if let Some(timer) = server.completion_timer {
+            engine.disarm(timer);
         }
         world.system.mark_server_stopped(sid, now);
         world.system.retire_server(sid, now);
@@ -764,10 +771,10 @@ pub fn crash_server(world: &mut World, engine: &mut SimEngine, sid: ServerId) {
         return;
     }
     let tier = server.tier();
-    // Dead first: cancel the CPU timer and leave Running before anything
+    // Dead first: disarm the CPU timer and leave Running before anything
     // else observes the server, so no unwound waiter can restart work here.
-    if let Some(ev) = server.completion_event.take() {
-        engine.cancel(ev);
+    if let Some(timer) = server.completion_timer {
+        engine.disarm(timer);
     }
     world.system.mark_server_stopped(sid, now);
     world.system.record_server_event(crate::spans::ServerEvent {

@@ -5,7 +5,7 @@
 //! optional downstream connection [`Pool`] — plus lifecycle state (VM boot,
 //! draining) and windowed measurement for the monitoring agents.
 
-use dcm_sim::engine::EventId;
+use dcm_sim::engine::TimerId;
 use dcm_sim::time::SimTime;
 
 use crate::cpu::CpuScheduler;
@@ -110,9 +110,11 @@ pub struct Server {
     cpu: CpuScheduler<FlightId>,
     thread_pool: Pool<FlightId>,
     conn_pool: Option<Pool<FlightId>>,
-    /// The engine event for this server's next CPU completion; the flow
-    /// layer cancels/reschedules it whenever the CPU state changes.
-    pub(crate) completion_event: Option<EventId>,
+    /// The engine timer for this server's next CPU completion, created the
+    /// first time the CPU has work. The flow layer re-arms it in place
+    /// whenever the CPU state changes and disarms it when the CPU idles,
+    /// drains or crashes.
+    pub(crate) completion_timer: Option<TimerId>,
     threads_tw: TimeWeighted,
     conns_tw: TimeWeighted,
     completed_total: u64,
@@ -152,7 +154,7 @@ impl Server {
             cpu: CpuScheduler::new(spec.law),
             thread_pool: Pool::new(spec.threads),
             conn_pool: spec.conns.map(Pool::new),
-            completion_event: None,
+            completion_timer: None,
             threads_tw: TimeWeighted::new(now, 0.0),
             conns_tw: TimeWeighted::new(now, 0.0),
             completed_total: 0,

@@ -1,9 +1,9 @@
 //! # dcm-sim — deterministic discrete-event simulation substrate
 //!
 //! The foundation the DCM reproduction runs on: a virtual clock and event
-//! queue ([`engine::Engine`]), reproducible random number generation
-//! ([`rng`]), random variate distributions ([`dist`]), and online statistics
-//! ([`stats`]).
+//! queue with one-shot events and re-armable timers ([`engine::Engine`]),
+//! reproducible random number generation ([`rng`]), random variate
+//! distributions ([`dist`]), and online statistics ([`stats`]).
 //!
 //! Determinism is the design constraint that shapes everything here: given
 //! the same seed and schedule, a simulation run is bit-for-bit identical
@@ -65,13 +65,14 @@
 pub mod dist;
 pub mod engine;
 pub mod faults;
+pub mod heap;
 pub mod rng;
 pub mod runner;
 pub mod stats;
 pub mod time;
 
 pub use dist::{Dist, Sample};
-pub use engine::{Engine, EventId};
+pub use engine::{Engine, EventId, TimerId};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultSpec};
 pub use rng::{derive_seed, SimRng};
 pub use runner::{run_ordered, set_jobs};

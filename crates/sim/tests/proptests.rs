@@ -4,6 +4,7 @@ use proptest::prelude::*;
 
 use dcm_sim::dist::{AliasTable, Dist, Sample};
 use dcm_sim::engine::Engine;
+use dcm_sim::heap::QuadHeap;
 use dcm_sim::rng::SimRng;
 use dcm_sim::stats::{Histogram, OnlineStats, RateMeter, SampleQuantiles, StepGauge};
 use dcm_sim::time::{SimDuration, SimTime};
@@ -296,5 +297,39 @@ proptest! {
         let expected = times.iter().filter(|&&t| t <= deadline).count();
         prop_assert_eq!(fired.len(), expected);
         prop_assert_eq!(engine.now(), SimTime::from_nanos(deadline));
+    }
+
+    /// `QuadHeap` pops exactly what `BinaryHeap<Reverse<_>>` pops: a
+    /// prefill of 0–600 keys, then random push/pop/peek, then a drain.
+    /// Keys come from a small range, so duplicates are common.
+    #[test]
+    fn quad_heap_matches_binary_heap(
+        prefill in prop::collection::vec(0u32..40, 0..600),
+        ops in prop::collection::vec((0u8..3, 0u32..40), 0..800),
+    ) {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        let mut heap = QuadHeap::new();
+        let mut model = BinaryHeap::new();
+        for &k in &prefill {
+            heap.push(k);
+            model.push(Reverse(k));
+        }
+        for &(op, k) in &ops {
+            match op {
+                0 => {
+                    heap.push(k);
+                    model.push(Reverse(k));
+                }
+                1 => prop_assert_eq!(heap.pop(), model.pop().map(|Reverse(k)| k)),
+                _ => prop_assert_eq!(heap.peek().copied(), model.peek().map(|&Reverse(k)| k)),
+            }
+            prop_assert_eq!(heap.len(), model.len());
+        }
+        while let Some(Reverse(k)) = model.pop() {
+            prop_assert_eq!(heap.pop(), Some(k));
+        }
+        prop_assert!(heap.is_empty());
     }
 }

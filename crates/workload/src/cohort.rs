@@ -4,10 +4,10 @@
 //! as [`crate::generator::UserPopulation`], but multiplexes many virtual
 //! users onto a handful of engine timers. Users are partitioned into
 //! cohorts of `cohort_size`; each cohort keeps a private min-heap of
-//! member wake-up times and arms **one** engine event for the earliest of
-//! them. When that event fires, every member due at or before the firing
-//! time submits in wake-up order, and the timer re-arms for the next due
-//! member. The event-queue footprint is thus `O(users / cohort_size)`
+//! member wake-up times and **one** re-armable engine timer, armed for the
+//! earliest of them. When that timer fires, every member due at or before
+//! the firing time submits in wake-up order, and the timer re-arms for the
+//! next due member. The event-queue footprint is thus `O(users / cohort_size)`
 //! instead of `O(users)` — at a million users with 256-user cohorts the
 //! calendar queue holds ~4 k population timers instead of a million.
 //!
@@ -33,45 +33,42 @@
 //! remains available when they matter.
 
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 use dcm_ntier::flow;
 use dcm_ntier::request::Completion;
 use dcm_ntier::world::{SimEngine, World};
 use dcm_sim::dist::{Dist, Sample};
-use dcm_sim::engine::EventId;
+use dcm_sim::engine::TimerId;
+use dcm_sim::heap::QuadHeap;
 use dcm_sim::time::{SimDuration, SimTime};
 
 use crate::profile::WorkloadFactory;
 
 /// One cohort: a min-heap of member wake-up times and the single engine
-/// timer armed for the earliest of them. The `seq` tie-breaker keeps
-/// members due at the same instant in FIFO wake-up order, mirroring the
-/// engine's own `(time, seq)` contract.
+/// timer armed for the earliest of them (created on first arming). The
+/// `seq` tie-breaker keeps members due at the same instant in FIFO wake-up
+/// order, mirroring the engine's own `(time, seq)` contract.
 #[derive(Debug)]
 struct Cohort {
-    due: BinaryHeap<Reverse<(SimTime, u64)>>,
+    due: QuadHeap<(SimTime, u64)>,
     seq: u64,
-    timer: Option<EventId>,
-    timer_at: SimTime,
+    timer: Option<TimerId>,
 }
 
 impl Cohort {
     fn new() -> Self {
         Cohort {
-            due: BinaryHeap::new(),
+            due: QuadHeap::new(),
             seq: 0,
             timer: None,
-            timer_at: SimTime::ZERO,
         }
     }
 
     fn push(&mut self, at: SimTime) {
         let seq = self.seq;
         self.seq += 1;
-        self.due.push(Reverse((at, seq)));
+        self.due.push((at, seq));
     }
 }
 
@@ -346,7 +343,7 @@ fn wake_member(
 /// rejected request completes synchronously — extend the heap without
 /// extending this batch), then re-arm for the next due member.
 fn cohort_fire(
-    state: Rc<RefCell<CohortState>>,
+    state: &Rc<RefCell<CohortState>>,
     world: &mut World,
     engine: &mut SimEngine,
     cohort: usize,
@@ -354,49 +351,46 @@ fn cohort_fire(
     let now = engine.now();
     let batch = {
         let mut st = state.borrow_mut();
-        st.cohorts[cohort].timer = None;
         let mut batch = 0u32;
-        while matches!(st.cohorts[cohort].due.peek(), Some(&Reverse((at, _))) if at <= now) {
+        while matches!(st.cohorts[cohort].due.peek(), Some(&(at, _)) if at <= now) {
             st.cohorts[cohort].due.pop();
             batch += 1;
         }
         batch
     };
     for _ in 0..batch {
-        wake_member(Rc::clone(&state), world, engine, cohort);
+        wake_member(Rc::clone(state), world, engine, cohort);
     }
-    rearm(&state, engine, cohort);
+    rearm(state, engine, cohort);
 }
 
 /// Ensures `cohort`'s engine timer is armed for its earliest due member
-/// (re-arming only when a new wake-up undercuts the current timer, so the
-/// common completion path costs one heap push and a comparison).
+/// (re-arming only when the timer is disarmed or a new wake-up undercuts
+/// it, so the common completion path costs one heap push and a
+/// comparison).
 fn rearm(state: &Rc<RefCell<CohortState>>, engine: &mut SimEngine, cohort: usize) {
-    let (arm_at, stale) = {
+    let (at, timer) = {
         let st = state.borrow();
         let c = &st.cohorts[cohort];
-        match c.due.peek() {
-            Some(&Reverse((at, _))) => match c.timer {
-                None => (Some(at), None),
-                Some(ev) if c.timer_at > at => (Some(at), Some(ev)),
-                Some(_) => (None, None),
-            },
-            None => (None, None),
+        let Some(&(at, _)) = c.due.peek() else {
+            return;
+        };
+        (at, c.timer)
+    };
+    let timer = match timer {
+        Some(timer) => timer,
+        None => {
+            let fire_state = Rc::clone(state);
+            let timer = engine.timer(move |w: &mut World, e: &mut SimEngine| {
+                cohort_fire(&fire_state, w, e, cohort);
+            });
+            state.borrow_mut().cohorts[cohort].timer = Some(timer);
+            timer
         }
     };
-    if let Some(ev) = stale {
-        engine.cancel(ev);
+    if engine.armed_at(timer).is_none_or(|armed| armed > at) {
+        engine.arm(timer, at);
     }
-    let Some(at) = arm_at else {
-        return;
-    };
-    let fire_state = Rc::clone(state);
-    let ev = engine.schedule_at(at, move |w: &mut World, e: &mut SimEngine| {
-        cohort_fire(fire_state, w, e, cohort);
-    });
-    let mut st = state.borrow_mut();
-    st.cohorts[cohort].timer = Some(ev);
-    st.cohorts[cohort].timer_at = at;
 }
 
 #[cfg(test)]
