@@ -62,7 +62,7 @@ use dcm_ntier::server::VmType;
 use dcm_ntier::system::{InterTierRetry, VmPolicy};
 use dcm_ntier::topology::{MeshNode, SoftConfig, ThreeTierBuilder};
 use dcm_obs::FailureLog;
-use dcm_oracle::{run_scenario, Scenario, ScenarioKind};
+use dcm_oracle::{run_scenario, Scenario};
 use dcm_sim::dist::Dist;
 use dcm_sim::faults::FaultPlan;
 use dcm_sim::rng::{derive_seed, SimRng};
@@ -987,21 +987,16 @@ fn mva_population(s: &HuntScenario) -> u32 {
 }
 
 fn check_mva(s: &HuntScenario) -> CheckOutcome {
-    let scenario = Scenario {
-        name: "hunt",
-        kind: ScenarioKind::ZeroOverhead,
-        counts: (s.web, s.app, s.db),
-        db_threads: s.db_threads,
-        web_demand: s.web_demand,
-        app_demand: s.app_demand,
-        db_demand: s.db_demand,
-        db_visits: s.db_visits,
-        think: s.think_z,
-        db_law: ServiceLaw::frictionless(s.db_demand),
-        populations: &[],
-        warmup: 40.0,
-        measure: 300.0,
-    };
+    let scenario = Scenario::chain(
+        "hunt",
+        (s.web, s.app, s.db),
+        s.db_threads,
+        [s.web_demand, s.app_demand],
+        s.db_visits,
+        s.think_z,
+        ServiceLaw::frictionless(s.db_demand),
+    )
+    .sweep(&[], 40.0, 300.0);
     let population = mva_population(s);
     let point = run_scenario(&scenario, population, s.seed);
 
@@ -1009,7 +1004,7 @@ fn check_mva(s: &HuntScenario) -> CheckOutcome {
     fnv.u64(u64::from(population));
     fnv.u64(point.completions);
     fnv.f64(point.throughput.des);
-    fnv.f64(point.db_queue.des);
+    fnv.f64(point.last_queue.des);
 
     let mut problems = Vec::new();
     let err = point.max_rel_err();

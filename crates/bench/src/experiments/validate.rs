@@ -9,12 +9,12 @@
 //! be violated, and every point's conservation audit must be clean.
 
 use dcm_oracle::{
-    default_grid, default_mesh_grid, run_mesh_scenario, run_scenario, run_scenario_cohort,
-    ConformancePoint, MeshPoint, ScenarioKind,
+    default_grid, default_mesh_grid, run_scenario, run_scenario_cohort, Point, Scenario,
+    ScenarioKind,
 };
 use dcm_sim::rng::derive_seed;
 
-use crate::format::{num, TextTable};
+use crate::format::{json_rows, num, Field, TextTable, Value};
 
 use super::Fidelity;
 
@@ -41,9 +41,9 @@ fn tolerances(fidelity: Fidelity) -> (f64, f64) {
 #[derive(Debug, Clone)]
 pub struct ValidatePoint {
     /// The per-user DES measurement.
-    pub per_user: ConformancePoint,
+    pub per_user: Point,
     /// The cohort-aggregated DES measurement.
-    pub cohort: ConformancePoint,
+    pub cohort: Point,
 }
 
 /// The conformance sweep results.
@@ -54,7 +54,7 @@ pub struct Validate {
     /// Every mesh grid point (fan-out DAG, steady-state cache,
     /// heterogeneous VM capacity), in grid order. All mesh scenarios are
     /// frictionless, so the zero-overhead tolerance gates them.
-    pub mesh_points: Vec<MeshPoint>,
+    pub mesh_points: Vec<Point>,
     /// The zero-overhead tolerance applied.
     pub tol_zero: f64,
     /// The load-dependent tolerance applied.
@@ -63,46 +63,42 @@ pub struct Validate {
     pub cohort_size: u32,
 }
 
-/// Runs the whole conformance grid (points fan out across workers;
-/// each builds its own world, so results are bit-identical for every
-/// `--jobs` value).
-pub fn run_validate(fidelity: Fidelity) -> Validate {
-    let (tol_zero, tol_law) = tolerances(fidelity);
+/// The `(scenario, population, seed)` jobs of one grid: windows scaled
+/// to the fidelity, the seed of population `j` of scenario `i` derived
+/// from stream `space | i << 8 | j`.
+fn jobs(grid: Vec<Scenario>, fidelity: Fidelity, space: u64) -> Vec<(Scenario, u32, u64)> {
+    let scale = match fidelity {
+        Fidelity::Quick => 0.1,
+        Fidelity::Full => 1.0,
+    };
     let mut jobs = Vec::new();
-    for (i, scenario) in default_grid().into_iter().enumerate() {
-        let scale = match fidelity {
-            Fidelity::Quick => 0.1,
-            Fidelity::Full => 1.0,
-        };
+    for (i, scenario) in grid.into_iter().enumerate() {
         for (j, &population) in scenario.populations.iter().enumerate() {
             let mut s = scenario.clone();
             s.warmup *= scale;
             s.measure *= scale;
-            let seed = derive_seed(SEED, (i as u64) << 8 | j as u64);
+            let seed = derive_seed(SEED, space | (i as u64) << 8 | j as u64);
             jobs.push((s, population, seed));
         }
     }
-    let points = dcm_sim::runner::run_ordered(jobs, |(scenario, population, seed)| ValidatePoint {
-        per_user: run_scenario(&scenario, population, seed),
-        cohort: run_scenario_cohort(&scenario, population, seed, COHORT_SIZE),
-    });
-    let mut mesh_jobs = Vec::new();
-    for (i, scenario) in default_mesh_grid().into_iter().enumerate() {
-        let scale = match fidelity {
-            Fidelity::Quick => 0.1,
-            Fidelity::Full => 1.0,
-        };
-        for (j, &population) in scenario.populations.iter().enumerate() {
-            let mut s = scenario.clone();
-            s.warmup *= scale;
-            s.measure *= scale;
-            // Distinct index space from the chain grid's `(i << 8) | j`.
-            let seed = derive_seed(SEED, (0x4D << 16) | (i as u64) << 8 | j as u64);
-            mesh_jobs.push((s, population, seed));
-        }
-    }
+    jobs
+}
+
+/// Runs both conformance grids (points fan out across workers; each
+/// builds its own world, so results are bit-identical for every `--jobs`
+/// value).
+pub fn run_validate(fidelity: Fidelity) -> Validate {
+    let (tol_zero, tol_law) = tolerances(fidelity);
+    let chain_jobs = jobs(default_grid(), fidelity, 0);
+    let points =
+        dcm_sim::runner::run_ordered(chain_jobs, |(scenario, population, seed)| ValidatePoint {
+            per_user: run_scenario(&scenario, population, seed),
+            cohort: run_scenario_cohort(&scenario, population, seed, COHORT_SIZE),
+        });
+    // A stream space distinct from the chain grid's.
+    let mesh_jobs = jobs(default_mesh_grid(), fidelity, 0x4D << 16);
     let mesh_points = dcm_sim::runner::run_ordered(mesh_jobs, |(scenario, population, seed)| {
-        run_mesh_scenario(&scenario, population, seed)
+        run_scenario(&scenario, population, seed)
     });
     Validate {
         points,
@@ -122,16 +118,10 @@ impl Validate {
         }
     }
 
-    /// Whether one measurement satisfies its gate: errors within
-    /// tolerance, bound respected, audit clean.
-    pub fn point_ok(&self, p: &ConformancePoint) -> bool {
+    /// Whether one measurement satisfies its gate: errors within the
+    /// tolerance of its oracle kind, bound respected, audit clean.
+    pub fn point_ok(&self, p: &Point) -> bool {
         p.max_rel_err() <= self.tolerance(p.kind) && p.bound_ok && p.audit_violations == 0
-    }
-
-    /// Whether one mesh measurement satisfies its gate. Mesh scenarios are
-    /// all frictionless, so the zero-overhead tolerance applies.
-    pub fn mesh_point_ok(&self, p: &MeshPoint) -> bool {
-        p.max_rel_err() <= self.tol_zero && p.bound_ok && p.audit_violations == 0
     }
 
     /// Whether every point passed — per-user, cohort, and mesh alike.
@@ -139,36 +129,33 @@ impl Validate {
         self.points
             .iter()
             .all(|p| self.point_ok(&p.per_user) && self.point_ok(&p.cohort))
-            && self.mesh_points.iter().all(|p| self.mesh_point_ok(p))
+            && self.mesh_points.iter().all(|p| self.point_ok(p))
     }
 
     /// The largest relative error across the mesh grid.
     pub fn mesh_max_rel_err(&self) -> f64 {
-        self.mesh_points
-            .iter()
-            .map(MeshPoint::max_rel_err)
-            .fold(0.0, f64::max)
+        worst(self.mesh_points.iter())
     }
 
     /// The largest per-user relative error across points of the given kind.
     pub fn max_rel_err(&self, kind: ScenarioKind) -> f64 {
-        self.points
-            .iter()
-            .map(|p| &p.per_user)
-            .filter(|p| p.kind == kind)
-            .map(ConformancePoint::max_rel_err)
-            .fold(0.0, f64::max)
+        worst(
+            self.points
+                .iter()
+                .map(|p| &p.per_user)
+                .filter(|p| p.kind == kind),
+        )
     }
 
     /// The largest cohort-aggregated relative error across points of the
     /// given kind.
     pub fn cohort_max_rel_err(&self, kind: ScenarioKind) -> f64 {
-        self.points
-            .iter()
-            .map(|p| &p.cohort)
-            .filter(|p| p.kind == kind)
-            .map(ConformancePoint::max_rel_err)
-            .fold(0.0, f64::max)
+        worst(
+            self.points
+                .iter()
+                .map(|p| &p.cohort)
+                .filter(|p| p.kind == kind),
+        )
     }
 
     /// The per-point conformance table.
@@ -192,59 +179,50 @@ impl Validate {
             "coh pass",
         ]);
         for pair in &self.points {
-            let p = &pair.per_user;
-            let c = &pair.cohort;
-            t.row([
-                p.scenario.to_string(),
-                kind_label(p.kind).to_string(),
-                p.population.to_string(),
-                num(p.throughput.des, 3),
-                num(p.throughput.mva, 3),
-                num(100.0 * p.throughput.rel_err, 3),
-                num(100.0 * p.residence[0].rel_err, 3),
-                num(100.0 * p.residence[1].rel_err, 3),
-                num(100.0 * p.residence[2].rel_err, 3),
-                num(100.0 * p.db_queue.rel_err, 3),
-                if p.bound_ok { "yes" } else { "NO" }.to_string(),
-                p.audit_violations.to_string(),
-                if self.point_ok(p) { "yes" } else { "NO" }.to_string(),
-                num(100.0 * c.throughput.rel_err, 3),
-                num(100.0 * c.max_rel_err(), 3),
-                if self.point_ok(c) { "yes" } else { "NO" }.to_string(),
-            ]);
+            t.row(self.table_row(&pair.per_user, Some(&pair.cohort)));
         }
         for p in &self.mesh_points {
-            // Mesh rows reuse the chain columns: the first two residence
-            // slots are nodes 0 and 1, the third is the worst remaining
-            // node; cohort columns do not apply.
-            let r0 = p.residence.first().map_or(0.0, |t| t.rel_err);
-            let r1 = p.residence.get(1).map_or(0.0, |t| t.rel_err);
-            let rest = p
-                .residence
-                .iter()
-                .skip(2)
-                .map(|t| t.rel_err)
-                .fold(0.0, f64::max);
-            t.row([
-                p.scenario.to_string(),
-                "mesh".to_string(),
-                p.population.to_string(),
-                num(p.throughput.des, 3),
-                num(p.throughput.mva, 3),
-                num(100.0 * p.throughput.rel_err, 3),
-                num(100.0 * r0, 3),
-                num(100.0 * r1, 3),
-                num(100.0 * rest, 3),
-                "-".to_string(),
-                if p.bound_ok { "yes" } else { "NO" }.to_string(),
-                p.audit_violations.to_string(),
-                if self.mesh_point_ok(p) { "yes" } else { "NO" }.to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-            ]);
+            t.row(self.table_row(p, None));
         }
         t
+    }
+
+    /// One table row. The residence columns show nodes 0 and 1 and the
+    /// worst remaining node (the DB on the chain). Chain rows carry their
+    /// cohort twin; mesh rows have none and leave the queue and cohort
+    /// columns blank.
+    fn table_row(&self, p: &Point, cohort: Option<&Point>) -> [String; 16] {
+        let pct = |x: f64| num(100.0 * x, 3);
+        let yes = |ok: bool| if ok { "yes" } else { "NO" }.to_string();
+        let dash = || "-".to_string();
+        let rest = p
+            .residence
+            .iter()
+            .skip(2)
+            .map(|t| t.rel_err)
+            .fold(0.0, f64::max);
+        let kind = match cohort {
+            Some(_) => kind_label(p.kind),
+            None => "mesh",
+        };
+        [
+            p.scenario.to_string(),
+            kind.to_string(),
+            p.population.to_string(),
+            num(p.throughput.des, 3),
+            num(p.throughput.mva, 3),
+            pct(p.throughput.rel_err),
+            pct(p.residence[0].rel_err),
+            pct(p.residence[1].rel_err),
+            pct(rest),
+            cohort.map_or_else(dash, |_| pct(p.last_queue.rel_err)),
+            yes(p.bound_ok),
+            p.audit_violations.to_string(),
+            yes(self.point_ok(p)),
+            cohort.map_or_else(dash, |c| pct(c.throughput.rel_err)),
+            cohort.map_or_else(dash, |c| pct(c.max_rel_err())),
+            cohort.map_or_else(dash, |c| yes(self.point_ok(c))),
+        ]
     }
 
     /// Stable JSON for `results/validate.json` (hand-rolled; keys and
@@ -281,79 +259,74 @@ impl Validate {
             self.mesh_max_rel_err()
         ));
         json.push_str(&format!("  \"passed\": {},\n", self.passed()));
+        let rows: Vec<_> = self.points.iter().map(|p| self.chain_row(p)).collect();
         json.push_str("  \"points\": [\n");
-        for (i, pair) in self.points.iter().enumerate() {
-            let p = &pair.per_user;
-            let c = &pair.cohort;
-            json.push_str(&format!(
-                "    {{\"scenario\": \"{}\", \"kind\": \"{}\", \"population\": {}, \
-                 \"completions\": {}, \
-                 \"throughput_des\": {:.6}, \"throughput_mva\": {:.6}, \
-                 \"throughput_rel_err\": {:.6}, \
-                 \"residence_rel_err\": [{:.6}, {:.6}, {:.6}], \
-                 \"db_queue_rel_err\": {:.6}, \
-                 \"throughput_bound\": {:.6}, \"bound_ok\": {}, \
-                 \"audit_violations\": {}, \"pass\": {}, \
-                 \"cohort_throughput_rel_err\": {:.6}, \
-                 \"cohort_max_rel_err\": {:.6}, \"cohort_pass\": {}}}{}\n",
-                p.scenario,
-                kind_label(p.kind),
-                p.population,
-                p.completions,
-                p.throughput.des,
-                p.throughput.mva,
-                p.throughput.rel_err,
-                p.residence[0].rel_err,
-                p.residence[1].rel_err,
-                p.residence[2].rel_err,
-                p.db_queue.rel_err,
-                p.throughput_bound,
-                p.bound_ok,
-                p.audit_violations,
-                self.point_ok(p),
-                c.throughput.rel_err,
-                c.max_rel_err(),
-                self.point_ok(c),
-                if i + 1 < self.points.len() { "," } else { "" }
-            ));
-        }
+        json.push_str(&json_rows(&rows));
         json.push_str("  ],\n");
+        let rows: Vec<_> = self.mesh_points.iter().map(|p| self.mesh_row(p)).collect();
         json.push_str("  \"mesh_points\": [\n");
-        for (i, p) in self.mesh_points.iter().enumerate() {
-            let nodes: Vec<String> = p
-                .node_names
-                .iter()
-                .zip(&p.residence)
-                .map(|(name, r)| format!("{{\"node\": \"{name}\", \"rel_err\": {:.6}}}", r.rel_err))
-                .collect();
-            json.push_str(&format!(
-                "    {{\"scenario\": \"{}\", \"population\": {}, \
-                 \"completions\": {}, \
-                 \"throughput_des\": {:.6}, \"throughput_mva\": {:.6}, \
-                 \"throughput_rel_err\": {:.6}, \
-                 \"residence\": [{}], \
-                 \"throughput_bound\": {:.6}, \"bound_ok\": {}, \
-                 \"audit_violations\": {}, \"pass\": {}}}{}\n",
-                p.scenario,
-                p.population,
-                p.completions,
-                p.throughput.des,
-                p.throughput.mva,
-                p.throughput.rel_err,
-                nodes.join(", "),
-                p.throughput_bound,
-                p.bound_ok,
-                p.audit_violations,
-                self.mesh_point_ok(p),
-                if i + 1 < self.mesh_points.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
+        json.push_str(&json_rows(&rows));
         json.push_str("  ]\n}\n");
         json
+    }
+
+    /// One chain row of `validate.json`: the per-user point and the
+    /// cohort columns.
+    fn chain_row(&self, pair: &ValidatePoint) -> [Field; 16] {
+        let p = &pair.per_user;
+        let c = &pair.cohort;
+        let r: Vec<String> = p
+            .residence
+            .iter()
+            .map(|t| format!("{:.6}", t.rel_err))
+            .collect();
+        [
+            ("scenario", Value::Text(p.scenario)),
+            ("kind", Value::Text(kind_label(p.kind))),
+            ("population", Value::int(p.population)),
+            ("completions", Value::int(p.completions)),
+            ("throughput_des", Value::fixed(p.throughput.des)),
+            ("throughput_mva", Value::fixed(p.throughput.mva)),
+            ("throughput_rel_err", Value::fixed(p.throughput.rel_err)),
+            (
+                "residence_rel_err",
+                Value::Num(format!("[{}]", r.join(", "))),
+            ),
+            ("db_queue_rel_err", Value::fixed(p.last_queue.rel_err)),
+            ("throughput_bound", Value::fixed(p.throughput_bound)),
+            ("bound_ok", Value::int(p.bound_ok)),
+            ("audit_violations", Value::int(p.audit_violations)),
+            ("pass", Value::int(self.point_ok(p))),
+            (
+                "cohort_throughput_rel_err",
+                Value::fixed(c.throughput.rel_err),
+            ),
+            ("cohort_max_rel_err", Value::fixed(c.max_rel_err())),
+            ("cohort_pass", Value::int(self.point_ok(c))),
+        ]
+    }
+
+    /// One mesh row of `validate.json`: per-node residence errors by name.
+    fn mesh_row(&self, p: &Point) -> [Field; 11] {
+        let nodes: Vec<String> = p
+            .node_names
+            .iter()
+            .zip(&p.residence)
+            .map(|(name, r)| format!("{{\"node\": \"{name}\", \"rel_err\": {:.6}}}", r.rel_err))
+            .collect();
+        [
+            ("scenario", Value::Text(p.scenario)),
+            ("population", Value::int(p.population)),
+            ("completions", Value::int(p.completions)),
+            ("throughput_des", Value::fixed(p.throughput.des)),
+            ("throughput_mva", Value::fixed(p.throughput.mva)),
+            ("throughput_rel_err", Value::fixed(p.throughput.rel_err)),
+            ("residence", Value::Num(format!("[{}]", nodes.join(", ")))),
+            ("throughput_bound", Value::fixed(p.throughput_bound)),
+            ("bound_ok", Value::int(p.bound_ok)),
+            ("audit_violations", Value::int(p.audit_violations)),
+            ("pass", Value::int(self.point_ok(p))),
+        ]
     }
 
     /// Self-checks against the conformance claims.
@@ -387,8 +360,9 @@ impl Validate {
             ),
             format!(
                 "cohort aggregation (size {}): worst error {:.3}% zero-overhead / \
-                 {:.3}% load-dependent under the same gates — batching users \
-                 onto shared timers leaves the stationary distribution intact",
+                 {:.3}% load-dependent under the same gates — with constant \
+                 think times the cohort run reproduces the per-user sample path, \
+                 so these equal the per-user errors",
                 self.cohort_size,
                 100.0 * self.cohort_max_rel_err(ScenarioKind::ZeroOverhead),
                 100.0 * self.cohort_max_rel_err(ScenarioKind::LoadDependent)
@@ -413,6 +387,11 @@ impl Validate {
             ),
         ]
     }
+}
+
+/// The largest relative error across `points` (0 when there are none).
+fn worst<'a>(points: impl Iterator<Item = &'a Point>) -> f64 {
+    points.map(Point::max_rel_err).fold(0.0, f64::max)
 }
 
 fn kind_label(kind: ScenarioKind) -> &'static str {

@@ -196,59 +196,33 @@ impl ThreeTierBuilder {
     /// The tier specs this builder would install (exposed for custom
     /// [`System`] construction).
     pub fn tier_specs(&self) -> Vec<TierSpec> {
-        let mut specs = vec![
-            TierSpec {
-                name: "web".into(),
-                law: self.web_law,
-                default_threads: self.soft.web_threads,
-                default_conns: None,
-                balancer: self.balancer,
-                boot_delay: self.boot_delay,
-                vm_policy: VmPolicy::default(),
-            },
-            TierSpec {
-                name: "app".into(),
-                law: self.app_law,
-                default_threads: self.soft.app_threads,
-                default_conns: Some(self.soft.db_conns),
-                balancer: self.balancer,
-                boot_delay: self.boot_delay,
-                vm_policy: VmPolicy::default(),
-            },
-        ];
-        if self.db_load_balancer {
-            specs.push(TierSpec {
-                name: "lb".into(),
-                // HAProxy forwards in O(100 µs) with negligible contention.
-                law: ServiceLaw::new(1.0e-4, 1.0e-6, 1.0e-10),
-                default_threads: 4096,
-                default_conns: None,
-                balancer: self.balancer,
-                boot_delay: self.boot_delay,
-                vm_policy: VmPolicy::default(),
-            });
-        }
-        specs.push(TierSpec {
-            name: "db".into(),
-            law: self.db_law,
-            default_threads: self.db_threads,
-            default_conns: None,
-            balancer: self.balancer,
-            boot_delay: self.boot_delay,
-            vm_policy: VmPolicy::default(),
-        });
-        specs
+        self.mesh().tier_specs()
     }
 
     /// Builds the world and a fresh engine.
     pub fn build(&self) -> (World, SimEngine) {
-        let counts: Vec<u32> = if self.db_load_balancer {
-            vec![self.web, self.app, 1, self.db]
-        } else {
-            vec![self.web, self.app, self.db]
-        };
-        let system = System::new(self.tier_specs(), &counts, dcm_sim::time::SimTime::ZERO);
-        (World::new(system, self.seed), SimEngine::new())
+        self.mesh().build()
+    }
+
+    /// The chain as a [`MeshBuilder`]: web → app (pooling its DB calls)
+    /// → optional single-server LB → db.
+    fn mesh(&self) -> MeshBuilder {
+        let mut mesh = MeshBuilder::new()
+            .balancer(self.balancer)
+            .boot_delay(self.boot_delay)
+            .seed(self.seed)
+            .node(MeshNode::new("web", self.web_law, self.soft.web_threads).count(self.web))
+            .node(
+                MeshNode::new("app", self.app_law, self.soft.app_threads)
+                    .conns(self.soft.db_conns)
+                    .count(self.app),
+            );
+        if self.db_load_balancer {
+            // HAProxy forwards in O(100 µs) with negligible contention.
+            let law = ServiceLaw::new(1.0e-4, 1.0e-6, 1.0e-10);
+            mesh = mesh.node(MeshNode::new("lb", law, 4096).count(1));
+        }
+        mesh.node(MeshNode::new("db", self.db_law, self.db_threads).count(self.db))
     }
 }
 
@@ -310,9 +284,9 @@ impl MeshNode {
 /// tier, with the call structure supplied per-request via
 /// [`crate::request::RequestProfile::with_graph`].
 ///
-/// [`ThreeTierBuilder`] remains the chain special case; `MeshBuilder` is
-/// the general form used by the `repro mesh` scenarios (fan-out services,
-/// cache tiers, heterogeneous VM types).
+/// [`ThreeTierBuilder`] is the chain preset of this builder; `MeshBuilder`
+/// is the general form used by the `repro mesh` scenarios (fan-out
+/// services, cache tiers, heterogeneous VM types).
 ///
 /// # Examples
 ///

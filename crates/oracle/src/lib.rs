@@ -1,11 +1,14 @@
 //! # dcm-oracle — analytic oracle & DES conformance harness
 //!
 //! Proves the simulator right (or catches it drifting): every conformance
-//! scenario builds the *same* system twice — once as a DES topology
-//! ([`dcm_ntier::topology::ThreeTierBuilder`] + a think-time client
+//! [`Scenario`] is a tree of nodes built *twice* — once as a DES world
+//! ([`dcm_ntier::topology::MeshBuilder`] + a think-time client
 //! population) and once as a closed product-form queueing network solved
 //! exactly by load-dependent MVA ([`dcm_model::mva`]) — then compares
-//! steady-state throughput, per-tier residence, and queue lengths.
+//! steady-state throughput, per-node residence, and the last node's queue
+//! length. The paper's three-tier chain is [`Scenario::chain`]; fan-out
+//! services, a cache tier and heterogeneous VM fleets are
+//! [`Scenario::mesh`] trees.
 //!
 //! The mapping rests on how the simulated server actually works (see
 //! [`dcm_ntier::cpu`]): all bursts progress at speed `1/f(n)`, so
@@ -21,6 +24,15 @@
 //!   demand — the ground-truth `S*(N)` from [`dcm_ntier::law`] feeds the
 //!   oracle via [`dcm_model::mva::law_rate_table`].
 //!
+//! Every node contributes one station per server. Visit ratios follow the
+//! tree's per-edge call counts and split evenly over a node's servers
+//! under the `Random` balancer. A steady-state cache that hits with
+//! probability `h` and skips its downstream hop is Bernoulli (Markovian)
+//! routing, so the network stays product-form with that edge's visit
+//! contribution rescaled by `1 − h`. A server with VM capacity multiplier
+//! `c` runs every burst `c×` faster, so its station serves at `S / c` —
+//! exact, not approximate.
+//!
 //! Every scenario run also carries a [`dcm_ntier::audit::ConservationAuditor`]
 //! across its measurement window, so a conformance sweep doubles as a
 //! conservation sweep.
@@ -28,15 +40,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod conformance;
 pub mod mesh;
 pub mod planner;
 
-pub use conformance::{
-    default_grid, run_scenario, run_scenario_cohort, ConformancePoint, Scenario, ScenarioKind,
-    TierComparison,
-};
 pub use mesh::{
-    default_mesh_grid, run_mesh_scenario, CacheSpec, MeshNodeSpec, MeshPoint, MeshScenario,
+    default_grid, default_mesh_grid, run_scenario, run_scenario_cohort, CacheSpec, Node, Point,
+    Scenario, ScenarioKind, TierComparison,
 };
 pub use planner::{predict, throughput_bound, PlannedTier, Prediction};

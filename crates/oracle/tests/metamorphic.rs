@@ -8,7 +8,7 @@ use dcm_ntier::law::{reference, ServiceLaw};
 use dcm_ntier::server::VmType;
 use dcm_ntier::system::VmPolicy;
 use dcm_ntier::topology::{MeshBuilder, MeshNode, SoftConfig, ThreeTierBuilder};
-use dcm_oracle::{run_scenario, Scenario, ScenarioKind};
+use dcm_oracle::{run_scenario, Scenario};
 use dcm_sim::dist::Dist;
 use dcm_sim::time::SimTime;
 use dcm_workload::generator::UserPopulation;
@@ -23,26 +23,20 @@ use dcm_workload::profile::{MeshProfileFactory, NodeDemand, ProfileFactory};
 /// utilization where the residual is well under the tolerance.)
 #[test]
 fn doubling_servers_and_load_preserves_per_server_state() {
-    let base = Scenario {
-        name: "meta-base",
-        kind: ScenarioKind::ZeroOverhead,
-        counts: (1, 1, 1),
-        db_threads: 2,
-        web_demand: 0.002,
-        app_demand: 0.008,
-        db_demand: 0.08,
-        db_visits: 1,
-        think: 0.8,
-        db_law: ServiceLaw::frictionless(0.08),
-        populations: &[10],
-        warmup: 50.0,
-        measure: 1500.0,
+    let chain = |name, counts| {
+        Scenario::chain(
+            name,
+            counts,
+            2,
+            [0.002, 0.008],
+            1,
+            0.8,
+            ServiceLaw::frictionless(0.08),
+        )
+        .sweep(&[], 50.0, 1500.0)
     };
-    let doubled = Scenario {
-        name: "meta-doubled",
-        counts: (2, 2, 2),
-        ..base.clone()
-    };
+    let base = chain("meta-base", (1, 1, 1));
+    let doubled = chain("meta-doubled", (2, 2, 2));
     let one = run_scenario(&base, 10, 9001);
     let two = run_scenario(&doubled, 20, 9002);
     assert_eq!(one.audit_violations, 0);

@@ -7,55 +7,36 @@
 
 use dcm_ntier::law::ServiceLaw;
 use dcm_oracle::planner::{predict, PlannedTier};
-use dcm_oracle::{run_scenario, Scenario, ScenarioKind};
+use dcm_oracle::{run_scenario, Scenario};
 
-/// Ample web/app pools in the conformance topology: model them as very
-/// wide queueing stations (numerically a delay station at these
-/// populations).
-const AMPLE: u32 = 4096;
+fn planner_tiers(s: &Scenario) -> Vec<PlannedTier> {
+    let visits = s.visit_ratios();
+    s.nodes
+        .iter()
+        .zip(visits)
+        .map(|(node, visits)| PlannedTier {
+            servers: node.capacities.len() as u32,
+            concurrency: node.threads,
+            demand: node.demand(),
+            visits,
+        })
+        .collect()
+}
 
 /// The PR-3 zero-overhead conformance gate.
 const GATE: f64 = 0.02;
 
-fn planner_tiers(s: &Scenario) -> Vec<PlannedTier> {
-    vec![
-        PlannedTier {
-            servers: s.counts.0,
-            concurrency: AMPLE,
-            demand: s.web_demand,
-            visits: 1.0,
-        },
-        PlannedTier {
-            servers: s.counts.1,
-            concurrency: AMPLE,
-            demand: s.app_demand,
-            visits: 1.0,
-        },
-        PlannedTier {
-            servers: s.counts.2,
-            concurrency: s.db_threads,
-            demand: s.db_demand,
-            visits: f64::from(s.db_visits),
-        },
-    ]
-}
-
 fn scenario(name: &'static str, db_threads: u32, db_demand: f64, db_visits: u32) -> Scenario {
-    Scenario {
+    Scenario::chain(
         name,
-        kind: ScenarioKind::ZeroOverhead,
-        counts: (1, 1, 1),
+        (1, 1, 1),
         db_threads,
-        web_demand: 0.005,
-        app_demand: 0.012,
-        db_demand,
+        [0.005, 0.012],
         db_visits,
-        think: 1.0,
-        db_law: ServiceLaw::frictionless(db_demand),
-        populations: &[],
-        warmup: 200.0,
-        measure: 4000.0,
-    }
+        1.0,
+        ServiceLaw::frictionless(db_demand),
+    )
+    .sweep(&[], 200.0, 4000.0)
 }
 
 #[test]

@@ -20,12 +20,17 @@
 //! schedule is literally identical — each cohort holds one member, the
 //! timer is that member's think-time event, and the RNG draw order matches
 //! [`crate::generator::UserPopulation`] exactly, so runs are bit-identical
-//! (asserted by a metamorphic test). For larger cohorts, members whose
-//! wake-ups share a firing batch submit in due order rather than each from
-//! its own event, which permutes RNG draw order across members: sample
-//! paths differ run-to-run from the per-user generator, but the stationary
-//! distribution does not — `repro validate` checks the aggregated DES
-//! against exact MVA under the same 2 % / 5 % gates as the per-user DES.
+//! (asserted by a metamorphic test). For larger cohorts, members due in
+//! one firing batch submit in due order from the cohort's single timer
+//! rather than each from its own event. The two schedules can order
+//! events differently only when a member's wake-up falls on the same
+//! simulated instant as another event: the engine then breaks the tie with
+//! the sequence number the cohort timer took when it was (re-)armed, not
+//! the one the member's own event would have taken. With the constant
+//! think times of every `repro validate` scenario, a cohort-16 run
+//! reproduces the per-user run exactly (same completions, same throughput
+//! and residence bits; pinned by a `dcm_oracle` test), so validate's
+//! cohort columns equal its per-user ones under the same exact-MVA gates.
 //!
 //! Cohort mode intentionally omits the per-user extras (client retry,
 //! request deadlines, think-time modulation): the fleet experiments that
